@@ -9,18 +9,16 @@ shows how often the snapshots actually predict the same label.
 import numpy as np
 
 from aedl import (
-    SnapshotCommittee,
     SyntheticSpec,
     agreement_histogram,
     augment_mirror,
     build_wcrn,
-    ensemble_probabilities,
-    forward_batch,
     generate_synthetic,
     init_adam,
     init_params,
     normalize_channels,
     overall_accuracy,
+    predict_probabilities,
     seed_split,
     train_step,
 )
@@ -59,25 +57,19 @@ for epoch in range(1, 27):
         snap.epoch_tag = epoch
         snapshots.append(snap)
 
-committee = SnapshotCommittee(tuple(snapshots), capture_interval_epochs=2)
 test_x = ds.patches[ds.split.test]
 test_y = ds.labels[ds.split.test]
 
-print(f"captured {len(committee)} snapshots (epochs "
-      f"{[s.epoch_tag for s in committee.members]})")
-member_preds = []
-for snap in committee.members:
-    probs = forward_batch(graph, snap, test_x)
-    preds = probs.argmax(axis=1)
-    member_preds.append(preds)
+print(f"captured {len(snapshots)} snapshots (epochs "
+      f"{[s.epoch_tag for s in snapshots]})")
+combined, member_preds = predict_probabilities(graph, snapshots, test_x)
+for snap, preds in zip(snapshots, member_preds):
     print(f"  epoch {snap.epoch_tag:>2} snapshot OA: "
           f"{overall_accuracy(preds, test_y):.4f}")
-
-combined = ensemble_probabilities(graph, committee, test_x)
-ensemble_oa = overall_accuracy(combined.values.argmax(axis=1), test_y)
+ensemble_oa = overall_accuracy(combined.argmax(axis=1), test_y)
 print(f"committee ensemble OA: {ensemble_oa:.4f}")
 
-hist = agreement_histogram(np.stack(member_preds))
+hist = agreement_histogram(member_preds)
 n = hist.member_count
 print("\nhow many snapshots back the majority label?")
 for m in range(1, n + 1):

@@ -47,14 +47,11 @@ _EXPORTS = {
     "AgreementHistogram": "selection",
     "ProbabilityMatrix": "selection",
     "SelectionResult": "selection",
-    "SnapshotCommittee": "selection",
     "STRATEGIES": "selection",
     "agreement_histogram": "selection",
-    "ensemble_probabilities": "selection",
     "score_bt_margin": "selection",
     "score_entropy": "selection",
     "select": "selection",
-    "select_aedl": "selection",
     # experiment
     "ConfigError": "experiment",
     "CurvePoints": "experiment",
@@ -63,6 +60,7 @@ _EXPORTS = {
     "MonteCarloResult": "experiment",
     "export_results": "experiment",
     "overall_accuracy": "experiment",
+    "predict_probabilities": "experiment",
     "run_monte_carlo": "experiment",
     "run_single": "experiment",
     "samples_to_target": "experiment",

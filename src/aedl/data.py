@@ -12,7 +12,6 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .networks import FormatError
 
@@ -157,6 +156,8 @@ def _class_means(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
 
 def generate_synthetic(spec: SyntheticSpec) -> PatchDataset:
     """Seeded dataset of class-blocked patches; same spec -> bit-identical data."""
+    from scipy import ndimage  # imported here: it dominates `import aedl` time
+
     rng = np.random.default_rng(spec.seed)
     means = _class_means(spec, rng)
     size, c, n_per = spec.patch_size, spec.channels, spec.instances_per_class

@@ -212,6 +212,8 @@ def predict_probabilities(
     argmax labels.
     """
     members = tuple(members)
+    if not members:
+        raise ValueError("committee needs at least one member")
     n = len(patches)
     mean_probs = np.zeros((n, graph.class_count))
     member_preds = np.zeros((len(members), n), dtype=np.int64)
@@ -253,17 +255,18 @@ def _train_phase(graph, params, adam, patches, labels, epochs, batch_size, rng,
     return params, adam, snapshots
 
 
+def _scoring_members(config, params, committee_members):
+    """The snapshot committee for "aedl-*" strategies, else the current model alone."""
+    return committee_members if config.strategy.startswith("aedl-") else (params,)
+
+
 def _select_batch(config, graph, params, committee_members, dataset, rng_select):
     candidate_ids = dataset.split.candidate
     if config.strategy == "rs":
         return select("rs", candidate_ids, config.batch_per_round, rng_select)
-    if config.strategy in ("me", "bt"):
-        members = (params,)
-        base = config.strategy
-    else:
-        members = committee_members
-        base = config.strategy.removeprefix("aedl-")
+    members = _scoring_members(config, params, committee_members)
     probs, _ = predict_probabilities(graph, members, dataset.patches[candidate_ids])
+    base = config.strategy.removeprefix("aedl-")
     return select(base, ProbabilityMatrix.from_values(probs, candidate_ids), config.batch_per_round)
 
 
@@ -342,7 +345,7 @@ def _evaluate_round(config, graph, params, committee_members, dataset, round_ind
     test_patches = dataset.patches[test_ids]
     test_labels = dataset.labels[test_ids]
     aedl = config.strategy.startswith("aedl-")
-    members = committee_members if aedl else (params,)
+    members = _scoring_members(config, params, committee_members)
     mean_probs, member_preds = predict_probabilities(graph, members, test_patches)
     predictions = mean_probs.argmax(axis=1)
     record = RoundRecord(

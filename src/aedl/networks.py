@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,30 +34,55 @@ class LayerSpec:
     rate: float = 0.0
 
 
+# Parameter entries carried by each layer kind, in entry order.
+PARAM_PARTS = {
+    "conv": ("weights", "bias"),
+    "dense": ("weights", "bias"),
+    "bn": ("gamma", "beta", "run_mean", "run_var"),
+}
+
+
 @dataclass(frozen=True)
 class NetworkGraph:
-    """Ordered layer list plus input geometry; validated on construction."""
+    """Ordered layer list plus input geometry; validated on construction.
+
+    Construction walks the layers once and stores every layer's output shape
+    (batch axis omitted) and every parameter entry's shape.
+    """
 
     name: str
     layers: tuple[LayerSpec, ...]
     input_shape: tuple[int, int, int]
     class_count: int
+    output_shapes: MappingProxyType = field(init=False, repr=False, compare=False)
+    param_shapes: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = {"input"}
-        for layer in self.layers:
-            if layer.name in seen:
-                raise ValueError(f"duplicate layer name {layer.name!r}")
-            for src in layer.inputs:
-                if src not in seen:
-                    raise ValueError(f"layer {layer.name!r} consumes unknown input {src!r}")
-            seen.add(layer.name)
         if self.layers[-1].kind != "softmax":
             raise ValueError("terminal layer must be softmax")
         fc = self.layers[-2]
         if fc.kind != "dense" or fc.out_channels != self.class_count:
             raise ValueError("softmax must be fed by a dense layer of class_count width")
-        layer_output_shapes(self)  # raises ShapeError on any nonconforming merge
+        shapes: dict[str, tuple[int, ...]] = {"input": self.input_shape}
+        params: dict[str, tuple[int, ...]] = {}
+        for layer in self.layers:
+            if layer.name in shapes:
+                raise ValueError(f"duplicate layer name {layer.name!r}")
+            for src in layer.inputs:
+                if src not in shapes:
+                    raise ValueError(f"layer {layer.name!r} consumes unknown input {src!r}")
+            ins = [shapes[i] for i in layer.inputs]
+            shapes[layer.name] = _infer_shape(layer, ins)  # ShapeError on a nonconforming merge
+            if layer.kind in PARAM_PARTS:
+                # Weights are (*kernel, c_in, c_out); bias and BN vectors have one entry per
+                # output channel, and BN keeps its input width.
+                c_in = ins[0][-1]
+                c_out = layer.out_channels or c_in
+                for part in PARAM_PARTS[layer.kind]:
+                    shape = (*(layer.kernel or ()), c_in, c_out) if part == "weights" else (c_out,)
+                    params[f"{layer.name}.{part}"] = shape
+        object.__setattr__(self, "output_shapes", MappingProxyType(shapes))
+        object.__setattr__(self, "param_shapes", MappingProxyType(params))
 
 
 @dataclass
@@ -68,15 +94,6 @@ class ParameterSet:
 
     def copy(self) -> "ParameterSet":
         return ParameterSet({k: v.copy() for k, v in self.entries.items()}, self.epoch_tag)
-
-
-def layer_output_shapes(graph: NetworkGraph) -> dict[str, tuple[int, ...]]:
-    """Per-layer output shapes (batch axis omitted); validates all edges."""
-    shapes: dict[str, tuple[int, ...]] = {"input": graph.input_shape}
-    for layer in graph.layers:
-        ins = [shapes[i] for i in layer.inputs]
-        shapes[layer.name] = _infer_shape(layer, ins)
-    return shapes
 
 
 def _infer_shape(layer: LayerSpec, ins: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -107,23 +124,20 @@ def _infer_shape(layer: LayerSpec, ins: list[tuple[int, ...]]) -> tuple[int, ...
         if ins[0] != ins[1]:
             raise ShapeError(f"{layer.name}: add requires equal shapes, got {ins[0]} vs {ins[1]}")
         return ins[0]
-    if kind in ("bn", "relu", "dropout"):
+    if kind in ("bn", "relu", "dropout", "softmax"):
         return ins[0]
     if kind == "flatten":
         return (int(np.prod(ins[0])),)
     if kind == "dense":
         return (layer.out_channels,)
-    if kind == "softmax":
-        return ins[0]
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
 def trace_shapes(graph: NetworkGraph) -> dict[str, tuple[int, ...]]:
     """Output shape per row tag (the last primitive layer of each row)."""
-    shapes = layer_output_shapes(graph)
     trace: dict[str, tuple[int, ...]] = {}
     for layer in graph.layers:
-        trace[layer.row] = shapes[layer.name]
+        trace[layer.row] = graph.output_shapes[layer.name]
     return trace
 
 
@@ -227,30 +241,14 @@ BUILDERS = {"wcrn": build_wcrn, "dccnn": build_dccnn, "hresnet": build_hresnet}
 
 def expected_param_shapes(graph: NetworkGraph) -> dict[str, tuple[int, ...]]:
     """Every entry name a ParameterSet for this graph must carry, with shapes."""
-    shapes = layer_output_shapes(graph)
-    expected: dict[str, tuple[int, ...]] = {}
-    for layer in graph.layers:
-        in_shape = shapes[layer.inputs[0]] if layer.inputs else None
-        if layer.kind == "conv":
-            p, q = layer.kernel
-            m = in_shape[2]
-            expected[f"{layer.name}.weights"] = (p, q, m, layer.out_channels)
-            expected[f"{layer.name}.bias"] = (layer.out_channels,)
-        elif layer.kind == "dense":
-            expected[f"{layer.name}.weights"] = (in_shape[0], layer.out_channels)
-            expected[f"{layer.name}.bias"] = (layer.out_channels,)
-        elif layer.kind == "bn":
-            c = in_shape[-1]
-            for part in ("gamma", "beta", "run_mean", "run_var"):
-                expected[f"{layer.name}.{part}"] = (c,)
-    return expected
+    return dict(graph.param_shapes)
 
 
 def trainable_names(graph: NetworkGraph) -> list[str]:
     """Entries updated by the optimizer (running stats are state, not trainable)."""
     return [
         name
-        for name in expected_param_shapes(graph)
+        for name in graph.param_shapes
         if not name.endswith((".run_mean", ".run_var"))
     ]
 
@@ -258,7 +256,7 @@ def trainable_names(graph: NetworkGraph) -> list[str]:
 def init_params(graph: NetworkGraph, rng: np.random.Generator) -> ParameterSet:
     """Fan-in-scaled uniform weights, zero biases, identity batch-norm."""
     entries: dict[str, np.ndarray] = {}
-    for name, shape in expected_param_shapes(graph).items():
+    for name, shape in graph.param_shapes.items():
         if name.endswith(".weights"):
             fan_in = int(np.prod(shape[:-1]))
             bound = 1.0 / np.sqrt(fan_in)
@@ -271,7 +269,8 @@ def init_params(graph: NetworkGraph, rng: np.random.Generator) -> ParameterSet:
 
 
 def check_params(graph: NetworkGraph, params: ParameterSet) -> None:
-    expected = expected_param_shapes(graph)
+    """Raise ShapeError unless the entries match the graph's parameter shapes exactly."""
+    expected = graph.param_shapes
     for name, shape in expected.items():
         arr = params.entries.get(name)
         if arr is None:
@@ -284,32 +283,31 @@ def check_params(graph: NetworkGraph, params: ParameterSet) -> None:
 
 
 def parameter_count(graph: NetworkGraph, trainable_only: bool = True) -> int:
-    shapes = expected_param_shapes(graph)
-    names = trainable_names(graph) if trainable_only else list(shapes)
-    return sum(int(np.prod(shapes[n])) for n in names)
+    names = trainable_names(graph) if trainable_only else graph.param_shapes
+    return sum(int(np.prod(graph.param_shapes[n])) for n in names)
 
 
 # ---------------------------------------------------------------------------
 # Execution
 
 
+def _layer_params(params: ParameterSet, layer: LayerSpec) -> dict[str, np.ndarray]:
+    return {part: params.entries[f"{layer.name}.{part}"] for part in PARAM_PARTS.get(layer.kind, ())}
+
+
 def _forward(graph, params, batch, mode, rng, keep_cache):
-    entries = params.entries
     acts: dict[str, np.ndarray] = {"input": batch}
     caches: dict[str, object] = {}
     stats_updates: dict[str, np.ndarray] = {}
     for layer in graph.layers:
         name, kind = layer.name, layer.kind
-        x = acts[layer.inputs[0]] if layer.inputs else None
+        x = acts[layer.inputs[0]]
+        p = _layer_params(params, layer)
         if kind == "conv":
-            out = ops.conv2d_forward(
-                x, entries[f"{name}.weights"], entries[f"{name}.bias"], layer.padding
-            )
+            out = ops.conv2d_forward(x, p["weights"], p["bias"], layer.padding)
         elif kind == "bn":
-            stats = RunningStats(entries[f"{name}.run_mean"], entries[f"{name}.run_var"])
-            out, new_stats, cache = ops.batchnorm_forward(
-                x, entries[f"{name}.gamma"], entries[f"{name}.beta"], stats, mode
-            )
+            stats = RunningStats(p["run_mean"], p["run_var"])
+            out, new_stats, cache = ops.batchnorm_forward(x, p["gamma"], p["beta"], stats, mode)
             if mode == "train":
                 stats_updates[f"{name}.run_mean"] = new_stats.mean
                 stats_updates[f"{name}.run_var"] = new_stats.var
@@ -323,9 +321,9 @@ def _forward(graph, params, batch, mode, rng, keep_cache):
         elif kind == "concat":
             parts = [acts[i] for i in layer.inputs]
             out = ops.concatenate(parts, axis=-1)
-            caches[name] = [p.shape[-1] for p in parts]
+            caches[name] = [part.shape[-1] for part in parts]
         elif kind == "add":
-            out = ops.residual_add(acts[layer.inputs[0]], acts[layer.inputs[1]])
+            out = ops.residual_add(x, acts[layer.inputs[1]])
         elif kind == "dropout":
             if mode == "train":
                 if rng is None:
@@ -337,7 +335,7 @@ def _forward(graph, params, batch, mode, rng, keep_cache):
         elif kind == "flatten":
             out = x.reshape(x.shape[0], -1)
         elif kind == "dense":
-            out = ops.dense(x, entries[f"{name}.weights"], entries[f"{name}.bias"])
+            out = ops.dense(x, p["weights"], p["bias"])
         elif kind == "softmax":
             out = ops.softmax(x)
         else:
@@ -367,57 +365,44 @@ def forward_batch(
 
 
 def _backward(graph, params, acts, caches, labels):
-    entries = params.entries
     grad_acts: dict[str, np.ndarray] = {}
     param_grads: dict[str, np.ndarray] = {}
-
-    def send(target: str, grad: np.ndarray) -> None:
-        if target in grad_acts:
-            grad_acts[target] = grad_acts[target] + grad
-        else:
-            grad_acts[target] = grad
-
     for layer in reversed(graph.layers):
         name, kind = layer.name, layer.kind
+        g = grad_acts.pop(name, None)
+        x = acts[layer.inputs[0]]
         if kind == "softmax":
             # Fused with the mean cross-entropy loss.
-            send(layer.inputs[0], ops.mean_loss_logit_grad(acts[name], labels))
-            continue
-        g = grad_acts.pop(name, None)
-        if g is None:
-            continue
-        x = acts[layer.inputs[0]] if layer.inputs else None
-        if kind == "conv":
-            lg = ops.conv2d_backward(x, entries[f"{name}.weights"], g, layer.padding)
-            param_grads[f"{name}.weights"] = lg.parameter_grads["weights"]
-            param_grads[f"{name}.bias"] = lg.parameter_grads["bias"]
-            send(layer.inputs[0], lg.input_grad)
+            grad = ops.mean_loss_logit_grad(acts[name], labels)
+        elif g is None:
+            continue  # not on the loss path
+        elif kind == "conv":
+            grad = ops.conv2d_backward(x, params.entries[f"{name}.weights"], g, layer.padding)
         elif kind == "bn":
-            lg = ops.batchnorm_backward(entries[f"{name}.gamma"], caches[name], g)
-            param_grads[f"{name}.gamma"] = lg.parameter_grads["gamma"]
-            param_grads[f"{name}.beta"] = lg.parameter_grads["beta"]
-            send(layer.inputs[0], lg.input_grad)
-        elif kind == "relu":
-            send(layer.inputs[0], ops.relu_backward(x, g))
-        elif kind == "maxpool":
-            send(layer.inputs[0], ops.maxpool2d_backward(x, layer.window, g))
-        elif kind == "gap":
-            send(layer.inputs[0], ops.global_avg_pool_backward(x, g))
-        elif kind == "concat":
-            for src, part in zip(layer.inputs, ops.concatenate_backward(g, caches[name])):
-                send(src, part)
-        elif kind == "add":
-            send(layer.inputs[0], g)
-            send(layer.inputs[1], g)
-        elif kind == "dropout":
-            send(layer.inputs[0], ops.dropout_backward(caches[name], layer.rate, g))
-        elif kind == "flatten":
-            send(layer.inputs[0], g.reshape(acts[layer.inputs[0]].shape))
+            grad = ops.batchnorm_backward(params.entries[f"{name}.gamma"], caches[name], g)
         elif kind == "dense":
-            lg = ops.dense_backward(x, entries[f"{name}.weights"], g)
-            param_grads[f"{name}.weights"] = lg.parameter_grads["weights"]
-            param_grads[f"{name}.bias"] = lg.parameter_grads["bias"]
-            send(layer.inputs[0], lg.input_grad)
+            grad = ops.dense_backward(x, params.entries[f"{name}.weights"], g)
+        elif kind == "relu":
+            grad = ops.relu_backward(x, g)
+        elif kind == "maxpool":
+            grad = ops.maxpool2d_backward(x, layer.window, g)
+        elif kind == "gap":
+            grad = ops.global_avg_pool_backward(x, g)
+        elif kind == "concat":
+            grad = ops.concatenate_backward(g, caches[name])
+        elif kind == "add":
+            grad = (g, g)
+        elif kind == "dropout":
+            grad = ops.dropout_backward(caches[name], layer.rate, g)
+        else:  # flatten
+            grad = g.reshape(x.shape)
+        if isinstance(grad, LayerGradients):
+            for part, value in grad.parameter_grads.items():
+                param_grads[f"{name}.{part}"] = value
+            grad = grad.input_grad
+        # Merge layers return one gradient per input; fan-out sums them.
+        for src, part in zip(layer.inputs, grad if kind in ("concat", "add") else (grad,)):
+            grad_acts[src] = grad_acts[src] + part if src in grad_acts else part
     return param_grads, grad_acts.get("input")
 
 

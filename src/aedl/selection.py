@@ -1,9 +1,11 @@
-"""Candidate scoring and selection: random, entropy, margin, and their
-snapshot-committee variants, plus committee disagreement analysis.
+"""Candidate scoring and selection: random, entropy and margin, plus committee
+disagreement analysis.
 
 Scoring is embarrassingly parallel over instances; selection itself is a
 single sort with a deterministic ascending-id tie-break so results are
-invariant under any permutation of the candidate order.
+invariant under any permutation of the candidate order. The committee
+variants ("aedl-me", "aedl-bt") score committee-averaged probabilities from
+`aedl.experiment.predict_probabilities` with the same functions.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .networks import NetworkGraph, ParameterSet, forward_batch
 
 STRATEGIES = ("rs", "me", "bt", "aedl-me", "aedl-bt")
 
@@ -35,6 +35,9 @@ class ProbabilityMatrix:
                 f"{len(self.instance_ids)} ids for {v.shape[0]} rows"
             )
         if v.size:
+            nonfinite = ~np.isfinite(v).all(axis=1)
+            if nonfinite.any():
+                raise ValueError(f"row {int(np.argmax(nonfinite))} has a non-finite probability")
             if v.min() < -ROW_SUM_TOL or v.max() > 1.0 + ROW_SUM_TOL:
                 raise ValueError("probabilities must lie in [0, 1]")
             bad = np.abs(v.sum(axis=1) - 1.0) > ROW_SUM_TOL
@@ -48,21 +51,6 @@ class ProbabilityMatrix:
         if instance_ids is None:
             instance_ids = np.arange(values.shape[0], dtype=np.int64)
         return ProbabilityMatrix(values, np.asarray(instance_ids, dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class SnapshotCommittee:
-    """Ordered near-convergence snapshots of one network, oldest first."""
-
-    members: tuple[ParameterSet, ...]
-    capture_interval_epochs: int = 1
-
-    def __post_init__(self):
-        if len(self.members) < 1:
-            raise ValueError("committee needs at least one member")
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -125,40 +113,6 @@ def select(strategy: str, probs_or_ids, batch: int, seed=None) -> SelectionResul
         scores = score_bt_margin(probs)
         order = _rank(scores, ids, descending=False)
     return SelectionResult(ids[order[: min(batch, len(ids))]], scores)
-
-
-def ensemble_probabilities(
-    graph: NetworkGraph,
-    committee: SnapshotCommittee,
-    batch: np.ndarray,
-    instance_ids=None,
-) -> ProbabilityMatrix:
-    """Arithmetic mean of member softmax outputs; rows stay stochastic and
-    entrywise within the member min/max envelope."""
-    total = None
-    for member in committee.members:
-        probs = forward_batch(graph, member, batch, mode="infer")
-        total = probs if total is None else total + probs
-    return ProbabilityMatrix.from_values(total / len(committee), instance_ids)
-
-
-def select_aedl(
-    strategy: str,
-    graph: NetworkGraph,
-    committee: SnapshotCommittee,
-    candidate_patches: np.ndarray,
-    candidate_ids,
-    batch: int,
-) -> SelectionResult:
-    """Entropy or margin selection driven by committee-averaged probabilities.
-
-    A committee of one reduces exactly to the single-model strategy.
-    """
-    base = strategy.lower().removeprefix("aedl-")
-    if base not in ("me", "bt"):
-        raise ValueError(f"committee selection needs 'me' or 'bt', got {strategy!r}")
-    probs = ensemble_probabilities(graph, committee, candidate_patches, candidate_ids)
-    return select(base, probs, batch)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from aedl.cli import main as cli_main
 from aedl.data import SyntheticSpec
 from aedl.experiment import (
     ExperimentConfig,
+    predict_probabilities,
     run_monte_carlo,
     run_single,
     samples_to_target,
@@ -33,13 +34,10 @@ from aedl.networks import (
 from aedl.ops import RunningStats
 from aedl.selection import (
     ProbabilityMatrix,
-    SnapshotCommittee,
     agreement_histogram,
-    ensemble_probabilities,
     score_bt_margin,
     score_entropy,
     select,
-    select_aedl,
 )
 
 from gradcheck import STEP, TOL, numerical_grad, rel_error, spaced_values
@@ -260,14 +258,15 @@ def test_criterion_4_aedl_reduction():
     rng = np.random.default_rng(123)
     for _ in range(100):
         member = init_params(graph, rng)
-        committee = SnapshotCommittee((member,))
         patches = rng.standard_normal((int(rng.integers(2, 25)), 5, 5, 2))
         ids = rng.permutation(1000)[: len(patches)].astype(np.int64)
         batch = int(rng.integers(1, len(patches) + 1))
         probs = ProbabilityMatrix.from_values(forward_batch(graph, member, patches), ids)
+        committee_probs, _ = predict_probabilities(graph, (member,), patches)
+        committee = ProbabilityMatrix.from_values(committee_probs, ids)
         for strategy in ("me", "bt"):
             base = select(strategy, probs, batch)
-            reduced = select_aedl(f"aedl-{strategy}", graph, committee, patches, ids, batch)
+            reduced = select(strategy, committee, batch)
             assert reduced.chosen_ids.tobytes() == base.chosen_ids.tobytes()
             np.testing.assert_array_equal(reduced.scores, base.scores)
 
@@ -285,10 +284,11 @@ def test_criterion_5_committee_math():
         members = tuple(pool[int(i)] for i in rng.integers(0, len(pool), size=n))
         patches = rng.standard_normal((4, 5, 5, 2))
         member_probs = np.stack([forward_batch(graph, m, patches) for m in members])
-        combined = ensemble_probabilities(graph, SnapshotCommittee(members), patches)
-        assert np.abs(combined.values.sum(axis=1) - 1.0).max() < 1e-6
-        assert (combined.values >= member_probs.min(axis=0) - 1e-12).all()
-        assert (combined.values <= member_probs.max(axis=0) + 1e-12).all()
+        combined, member_preds = predict_probabilities(graph, members, patches)
+        np.testing.assert_array_equal(member_preds, member_probs.argmax(axis=2))
+        assert np.abs(combined.sum(axis=1) - 1.0).max() < 1e-6
+        assert (combined >= member_probs.min(axis=0) - 1e-12).all()
+        assert (combined <= member_probs.max(axis=0) + 1e-12).all()
 
 
 # ---------------------------------------------------------------------------

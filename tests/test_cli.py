@@ -221,6 +221,19 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_config_import_leaves_scipy_unloaded():
+    # Only synthetic generation needs scipy.ndimage; parsing a config may not
+    # pay for loading it.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, aedl.config; print('scipy.ndimage' in sys.modules)"],
+        capture_output=True, text=True,
+        env=_stripped_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_thread_override_sets_blas_vars_and_keeps_preset(monkeypatch):
     blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     for var in blas_vars:

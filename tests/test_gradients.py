@@ -7,7 +7,17 @@ parameters, in double precision.
 import numpy as np
 import pytest
 
-from aedl import ops
+from aedl import networks, ops
+from aedl.networks import (
+    LayerSpec,
+    NetworkGraph,
+    ParameterSet,
+    build_dccnn,
+    build_hresnet,
+    build_wcrn,
+    init_params,
+    trainable_names,
+)
 from aedl.ops import RunningStats
 
 from gradcheck import assert_grad_close, numerical_grad, spaced_values
@@ -222,3 +232,88 @@ class TestLossGradients:
 
             analytic = ops.mean_loss_logit_grad(ops.softmax(logits), labels)
             assert_grad_close(analytic, numerical_grad(loss, logits), f"loss #{i}")
+
+
+def _toy_graph():
+    """Every layer kind on the loss path, with fan-out at the input and at cat."""
+    layers = (
+        LayerSpec("c1", "conv", ("input",), "1", out_channels=3, kernel=(3, 3)),
+        LayerSpec("c2", "conv", ("input",), "1", out_channels=2, kernel=(3, 3), padding="same"),
+        LayerSpec("p2", "maxpool", ("c2",), "2", window=(2, 2)),
+        LayerSpec("cat", "concat", ("c1", "p2"), "3"),
+        LayerSpec("bn", "bn", ("cat",), "4"),
+        LayerSpec("r", "relu", ("bn",), "4"),
+        LayerSpec("c3", "conv", ("r",), "4", out_channels=5, kernel=(1, 1)),
+        LayerSpec("add", "add", ("cat", "c3"), "5"),
+        LayerSpec("drop", "dropout", ("add",), "5", rate=0.5),
+        LayerSpec("gap", "gap", ("drop",), "6"),
+        LayerSpec("fc", "dense", ("gap",), "7", out_channels=3),
+        LayerSpec("prob", "softmax", ("fc",), "7"),
+    )
+    return NetworkGraph("toy", layers, (4, 4, 2), 3)
+
+
+def _train_loss(graph, params, x, labels, seed):
+    """Train-mode mean cross entropy; the dropout rng is reseeded every call."""
+    probs, _, _ = networks._forward(
+        graph, params, x, "train", np.random.default_rng(seed), keep_cache=False
+    )
+    return float(np.mean(ops.cross_entropy(probs, labels)))
+
+
+def _analytic_grads(graph, params, x, labels, seed):
+    acts, caches, _ = networks._forward(
+        graph, params, x, "train", np.random.default_rng(seed), keep_cache=True
+    )
+    return networks._backward(graph, params, acts, caches, labels)
+
+
+def _with_entry(params, name, value):
+    return ParameterSet({**params.entries, name: value})
+
+
+class TestWholeGraphGradients:
+    def test_toy_graph_every_entry_and_input(self):
+        graph = _toy_graph()
+        assert {layer.kind for layer in graph.layers} >= {
+            "conv", "maxpool", "concat", "bn", "relu", "add", "dropout", "gap", "dense", "softmax"
+        }
+        rng = np.random.default_rng(111)
+        params = init_params(graph, rng)
+        x = rng.standard_normal((6, 4, 4, 2))
+        labels = rng.integers(0, 3, size=6)
+        param_grads, input_grad = _analytic_grads(graph, params, x, labels, seed=7)
+        assert sorted(param_grads) == sorted(trainable_names(graph))
+        for name in trainable_names(graph):
+            numeric = numerical_grad(
+                lambda v: _train_loss(graph, _with_entry(params, name, v), x, labels, 7),
+                params.entries[name].copy(),
+            )
+            assert_grad_close(param_grads[name], numeric, f"toy {name}")
+        numeric = numerical_grad(lambda v: _train_loss(graph, params, v, labels, 7), x.copy())
+        assert_grad_close(input_grad, numeric, "toy input")
+
+    @pytest.mark.parametrize("build,size", [(build_wcrn, 5), (build_dccnn, 5), (build_hresnet, 7)])
+    def test_builders_at_sampled_entries(self, build, size):
+        graph = build(2, 3)
+        rng = np.random.default_rng(112)
+        params = init_params(graph, rng)
+        x = rng.standard_normal((6, size, size, 2))
+        labels = rng.integers(0, 3, size=6)
+        param_grads, _ = _analytic_grads(graph, params, x, labels, seed=8)
+        for name in trainable_names(graph):
+            shape = params.entries[name].shape
+            flat = params.entries[name].reshape(-1)
+            picks = rng.choice(flat.size, size=min(3, flat.size), replace=False)
+
+            def loss_at(i, v):
+                entry = flat.copy()
+                entry[i] = v[0]
+                return _train_loss(graph, _with_entry(params, name, entry.reshape(shape)), x,
+                                   labels, 8)
+
+            numeric = [numerical_grad(lambda v: loss_at(i, v), flat[i : i + 1].copy())[0]
+                       for i in picks]
+            assert_grad_close(
+                param_grads[name].reshape(-1)[picks], numeric, f"{graph.name} {name}"
+            )

@@ -124,8 +124,7 @@ class TestForward:
 
     def test_gap_head_passes_constant_channels(self):
         graph = build_hresnet(2, 3)
-        shapes = networks.layer_output_shapes(graph)
-        assert shapes["gap5"] == (64,)
+        assert graph.output_shapes["gap5"] == (64,)
 
     def test_batch_shape_mismatch_rejected(self):
         graph = build_wcrn(6, 11)

@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aedl.experiment import predict_probabilities
 from aedl.networks import build_wcrn, forward_batch, init_params
 from aedl.selection import (
     ProbabilityMatrix,
     SelectionResult,
-    SnapshotCommittee,
     agreement_histogram,
-    ensemble_probabilities,
     score_bt_margin,
     score_entropy,
     select,
-    select_aedl,
 )
 
 
@@ -161,6 +159,13 @@ class TestProbabilityMatrix:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ProbabilityMatrix.from_values([[1.5, -0.5]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rows_by_index(self, bad):
+        with pytest.raises(ValueError, match="row 0 has a non-finite"):
+            ProbabilityMatrix.from_values([[bad] * 3, [0.2, 0.3, 0.5], [0.9, 0.05, 0.05]])
+        with pytest.raises(ValueError, match="row 1 has a non-finite"):
+            ProbabilityMatrix.from_values([[0.2, 0.3, 0.5], [bad, 0.5, 0.5], [bad] * 3])
+
     @settings(deadline=None, max_examples=30)
     @given(st.integers(1, 30), st.integers(2, 8), st.integers(0, 2**31 - 1))
     def test_random_rows_validate(self, n, k, seed):
@@ -179,38 +184,37 @@ class TestEnsemble:
         graph, members = self._graph_and_members(6, 1)
         batch = np.random.default_rng(7).standard_normal((5, 5, 5, 2))
         single = forward_batch(graph, members[0], batch)
-        combined = ensemble_probabilities(graph, SnapshotCommittee(tuple(members)), batch)
-        assert combined.values.tobytes() == single.tobytes()
+        combined, _ = predict_probabilities(graph, members, batch)
+        assert combined.tobytes() == single.tobytes()
 
     def test_two_member_mean(self):
         graph, members = self._graph_and_members(8, 2)
         batch = np.random.default_rng(9).standard_normal((4, 5, 5, 2))
         a = forward_batch(graph, members[0], batch)
         b = forward_batch(graph, members[1], batch)
-        combined = ensemble_probabilities(graph, SnapshotCommittee(tuple(members)), batch)
-        np.testing.assert_allclose(combined.values, (a + b) / 2, atol=1e-15)
+        combined, _ = predict_probabilities(graph, members, batch)
+        np.testing.assert_allclose(combined, (a + b) / 2, atol=1e-15)
 
     def test_identical_members_collapse(self):
         graph, members = self._graph_and_members(10, 1)
-        committee = SnapshotCommittee(tuple(members * 3))
         batch = np.random.default_rng(11).standard_normal((3, 5, 5, 2))
         single = forward_batch(graph, members[0], batch)
-        np.testing.assert_allclose(
-            ensemble_probabilities(graph, committee, batch).values, single, atol=1e-15
-        )
+        combined, _ = predict_probabilities(graph, members * 3, batch)
+        np.testing.assert_allclose(combined, single, atol=1e-15)
 
     def test_rows_within_member_envelope(self):
         graph, members = self._graph_and_members(12, 5)
         batch = np.random.default_rng(13).standard_normal((6, 5, 5, 2))
         member_probs = np.stack([forward_batch(graph, m, batch) for m in members])
-        combined = ensemble_probabilities(graph, SnapshotCommittee(tuple(members)), batch)
-        assert (combined.values >= member_probs.min(axis=0) - 1e-12).all()
-        assert (combined.values <= member_probs.max(axis=0) + 1e-12).all()
-        np.testing.assert_allclose(combined.values.sum(axis=1), 1.0, atol=1e-6)
+        combined, _ = predict_probabilities(graph, members, batch)
+        assert (combined >= member_probs.min(axis=0) - 1e-12).all()
+        assert (combined <= member_probs.max(axis=0) + 1e-12).all()
+        np.testing.assert_allclose(combined.sum(axis=1), 1.0, atol=1e-6)
 
     def test_empty_committee_rejected(self):
+        graph = build_wcrn(2, 3)
         with pytest.raises(ValueError, match="at least one"):
-            SnapshotCommittee(())
+            predict_probabilities(graph, (), np.zeros((1, 5, 5, 2)))
 
 
 class TestSelectAedl:
@@ -220,14 +224,14 @@ class TestSelectAedl:
         member = init_params(graph, rng)
         batch = rng.standard_normal((20, 5, 5, 2))
         ids = np.arange(100, 120)
-        committee = SnapshotCommittee((member,))
+        committee_probs, _ = predict_probabilities(graph, (member,), batch)
         for strategy in ("me", "bt"):
             base = select(
                 strategy,
                 ProbabilityMatrix.from_values(forward_batch(graph, member, batch), ids),
                 batch=5,
             )
-            combined = select_aedl(f"aedl-{strategy}", graph, committee, batch, ids, batch=5)
+            combined = select(strategy, ProbabilityMatrix.from_values(committee_probs, ids), 5)
             np.testing.assert_array_equal(combined.chosen_ids, base.chosen_ids)
 
     def test_disagreement_can_flip_the_margin_ranking(self):
@@ -243,13 +247,6 @@ class TestSelectAedl:
         assert committee_pick.chosen_ids[0] == 2
         margins = score_bt_margin(ProbabilityMatrix.from_values(mean, ids))
         assert brute_force_rank(margins, ids, descending=False)[0] == 2
-
-    def test_non_committee_strategy_rejected(self):
-        graph = build_wcrn(2, 3)
-        member = init_params(graph, np.random.default_rng(15))
-        with pytest.raises(ValueError, match="me.*bt|bt.*me"):
-            select_aedl("rs", graph, SnapshotCommittee((member,)), np.zeros((1, 5, 5, 2)),
-                        [0], batch=1)
 
 
 class TestAgreementHistogram:
