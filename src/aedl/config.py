@@ -46,15 +46,6 @@ def _float(raw: str, key: str, lineno: int) -> float:
         raise ConfigError(f"line {lineno}: {key} must be a number, got {raw!r}") from None
 
 
-def _bool(raw: str, key: str, lineno: int) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"line {lineno}: {key} must be true/false, got {raw!r}")
-
-
 def _int_list(raw: str, key: str, lineno: int) -> tuple[int, ...]:
     return tuple(_int(part.strip(), key, lineno) for part in raw.split(",") if part.strip())
 
@@ -96,11 +87,7 @@ _EXPERIMENT_FIELDS = {
     "seed": _int,
     "seeds": _int_list,
     "learning_rate": _float,
-    "beta1": _float,
-    "beta2": _float,
-    "epsilon": _float,
     "train_batch_size": _int,
-    "report_single_oa": _bool,
     "output_dir": lambda raw, key, lineno: raw,
 }
 

@@ -46,6 +46,10 @@ class PatchDataset:
             )
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise ValueError(f"labels must lie in [0, {self.class_count})")
+        finite = np.isfinite(self.patches)
+        if not finite.all():
+            bad = int(np.argmin(finite.all(axis=(1, 2, 3))))
+            raise ValueError(f"instance {bad} holds a non-finite patch value")
         if self.split is not None:
             pools = [self.split.labeled, self.split.candidate, self.split.test]
             joined = np.concatenate(pools)

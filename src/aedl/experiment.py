@@ -66,11 +66,7 @@ class ExperimentConfig:
     seed: int = 0
     seeds: tuple[int, ...] | None = None
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     train_batch_size: int = 32
-    report_single_oa: bool = False
     output_dir: str | None = None
 
     def validate(self) -> None:
@@ -125,7 +121,6 @@ class RoundRecord:
     overall_accuracy: float
     per_class_accuracy: np.ndarray
     wall_time_s: float
-    single_model_oa: float | None = None
     agreement: AgreementHistogram | None = None
 
 
@@ -302,9 +297,6 @@ def run_single(config: ExperimentConfig, seed: int) -> LearningCurve:
     adam = init_adam(
         {n: params.entries[n] for n in trainable_names(graph)},
         learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
     )
     labeled = dataset.split.labeled
     params, adam, _ = _train_phase(
@@ -348,7 +340,7 @@ def _evaluate_round(config, graph, params, committee_members, dataset, round_ind
     members = _scoring_members(config, params, committee_members)
     mean_probs, member_preds = predict_probabilities(graph, members, test_patches)
     predictions = mean_probs.argmax(axis=1)
-    record = RoundRecord(
+    return RoundRecord(
         round=round_index,
         labeled_count=len(dataset.split.labeled),
         overall_accuracy=overall_accuracy(predictions, test_labels),
@@ -356,10 +348,6 @@ def _evaluate_round(config, graph, params, committee_members, dataset, round_ind
         wall_time_s=elapsed,
         agreement=agreement_histogram(member_preds) if aedl else None,
     )
-    if aedl and config.report_single_oa:
-        single_probs, _ = predict_probabilities(graph, (params,), test_patches)
-        record.single_model_oa = overall_accuracy(single_probs.argmax(axis=1), test_labels)
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +408,6 @@ class TargetCrossing:
 
 
 def _curve_arrays(curve) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(curve, tuple):
-        counts, oas = curve
-        return np.asarray(counts, dtype=float), np.asarray(oas, dtype=float)
     return np.asarray(curve.labeled_counts, dtype=float), np.asarray(curve.oas, dtype=float)
 
 

@@ -46,8 +46,10 @@ PARAM_PARTS = {
 class NetworkGraph:
     """Ordered layer list plus input geometry; validated on construction.
 
-    Construction walks the layers once and stores every layer's output shape
-    (batch axis omitted) and every parameter entry's shape.
+    Construction runs each layer once on one all-zero row, through the ops the
+    forward pass uses, and stores every layer's output shape (batch axis
+    omitted) and every parameter entry's shape. The ops' own checks are the
+    shape rules.
     """
 
     name: str
@@ -63,24 +65,28 @@ class NetworkGraph:
         fc = self.layers[-2]
         if fc.kind != "dense" or fc.out_channels != self.class_count:
             raise ValueError("softmax must be fed by a dense layer of class_count width")
-        shapes: dict[str, tuple[int, ...]] = {"input": self.input_shape}
+        acts: dict[str, np.ndarray] = {"input": np.zeros((1, *self.input_shape))}
         params: dict[str, tuple[int, ...]] = {}
         for layer in self.layers:
-            if layer.name in shapes:
+            if layer.name in acts:
                 raise ValueError(f"duplicate layer name {layer.name!r}")
             for src in layer.inputs:
-                if src not in shapes:
+                if src not in acts:
                     raise ValueError(f"layer {layer.name!r} consumes unknown input {src!r}")
-            ins = [shapes[i] for i in layer.inputs]
-            shapes[layer.name] = _infer_shape(layer, ins)  # ShapeError on a nonconforming merge
-            if layer.kind in PARAM_PARTS:
-                # Weights are (*kernel, c_in, c_out); bias and BN vectors have one entry per
-                # output channel, and BN keeps its input width.
-                c_in = ins[0][-1]
-                c_out = layer.out_channels or c_in
-                for part in PARAM_PARTS[layer.kind]:
-                    shape = (*(layer.kernel or ()), c_in, c_out) if part == "weights" else (c_out,)
-                    params[f"{layer.name}.{part}"] = shape
+            # Weights are (*kernel, c_in, c_out); bias and BN vectors have one entry per
+            # output channel, and BN keeps its input width.
+            c_in = acts[layer.inputs[0]].shape[-1]
+            c_out = layer.out_channels or c_in
+            p: dict[str, np.ndarray] = {}
+            for part in PARAM_PARTS.get(layer.kind, ()):
+                shape = (*(layer.kernel or ()), c_in, c_out) if part == "weights" else (c_out,)
+                params[f"{layer.name}.{part}"] = shape
+                p[part] = np.zeros(shape)
+            try:
+                _layer_forward(layer, acts, p, "infer", None, {}, {})
+            except ShapeError as exc:
+                raise ShapeError(f"{layer.name}: {exc}") from None
+        shapes = {name: act.shape[1:] for name, act in acts.items()}
         object.__setattr__(self, "output_shapes", MappingProxyType(shapes))
         object.__setattr__(self, "param_shapes", MappingProxyType(params))
 
@@ -94,43 +100,6 @@ class ParameterSet:
 
     def copy(self) -> "ParameterSet":
         return ParameterSet({k: v.copy() for k, v in self.entries.items()}, self.epoch_tag)
-
-
-def _infer_shape(layer: LayerSpec, ins: list[tuple[int, ...]]) -> tuple[int, ...]:
-    kind = layer.kind
-    if kind == "conv":
-        h, w, _ = ins[0]
-        p, q = layer.kernel
-        if layer.padding == "same":
-            return (h, w, layer.out_channels)
-        if p > h or q > w:
-            raise ShapeError(f"{layer.name}: kernel {p}x{q} exceeds input {h}x{w}")
-        return (h - p + 1, w - q + 1, layer.out_channels)
-    if kind == "maxpool":
-        h, w, c = ins[0]
-        wh, ww = layer.window
-        if h % wh or w % ww:
-            raise ShapeError(f"{layer.name}: window {wh}x{ww} does not tile input {h}x{w}")
-        return (h // wh, w // ww, c)
-    if kind == "gap":
-        return (ins[0][2],)
-    if kind == "concat":
-        base = ins[0]
-        for i, s in enumerate(ins[1:], start=1):
-            if s[:2] != base[:2]:
-                raise ShapeError(f"{layer.name}: input {i} spatial {s[:2]} != {base[:2]}")
-        return (*base[:2], sum(s[2] for s in ins))
-    if kind == "add":
-        if ins[0] != ins[1]:
-            raise ShapeError(f"{layer.name}: add requires equal shapes, got {ins[0]} vs {ins[1]}")
-        return ins[0]
-    if kind in ("bn", "relu", "dropout", "softmax"):
-        return ins[0]
-    if kind == "flatten":
-        return (int(np.prod(ins[0])),)
-    if kind == "dense":
-        return (layer.out_channels,)
-    raise ValueError(f"unknown layer kind {kind!r}")
 
 
 def trace_shapes(graph: NetworkGraph) -> dict[str, tuple[int, ...]]:
@@ -295,52 +264,56 @@ def _layer_params(params: ParameterSet, layer: LayerSpec) -> dict[str, np.ndarra
     return {part: params.entries[f"{layer.name}.{part}"] for part in PARAM_PARTS.get(layer.kind, ())}
 
 
+def _layer_forward(layer, acts, p, mode, rng, caches, stats_updates):
+    """Run one layer on acts[layer.inputs], storing its output in acts[layer.name]."""
+    name, kind = layer.name, layer.kind
+    x = acts[layer.inputs[0]]
+    if kind == "conv":
+        out = ops.conv2d_forward(x, p["weights"], p["bias"], layer.padding)
+    elif kind == "bn":
+        stats = RunningStats(p["run_mean"], p["run_var"])
+        out, new_stats, cache = ops.batchnorm_forward(x, p["gamma"], p["beta"], stats, mode)
+        if mode == "train":
+            stats_updates[f"{name}.run_mean"] = new_stats.mean
+            stats_updates[f"{name}.run_var"] = new_stats.var
+            caches[name] = cache
+    elif kind == "relu":
+        out = ops.relu(x)
+    elif kind == "maxpool":
+        out = ops.maxpool2d(x, layer.window)
+    elif kind == "gap":
+        out = ops.global_avg_pool(x)
+    elif kind == "concat":
+        parts = [acts[i] for i in layer.inputs]
+        out = ops.concatenate(parts, axis=-1)
+        caches[name] = [part.shape[-1] for part in parts]
+    elif kind == "add":
+        out = ops.residual_add(x, acts[layer.inputs[1]])
+    elif kind == "dropout":
+        if mode == "train":
+            if rng is None:
+                raise ValueError("train-mode forward through dropout requires an rng")
+            out, mask = ops.dropout_forward(x, layer.rate, rng)
+            caches[name] = mask
+        else:
+            out = x
+    elif kind == "flatten":
+        out = x.reshape(x.shape[0], -1)
+    elif kind == "dense":
+        out = ops.dense(x, p["weights"], p["bias"])
+    elif kind == "softmax":
+        out = ops.softmax(x)
+    else:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    acts[name] = out
+
+
 def _forward(graph, params, batch, mode, rng, keep_cache):
     acts: dict[str, np.ndarray] = {"input": batch}
     caches: dict[str, object] = {}
     stats_updates: dict[str, np.ndarray] = {}
     for layer in graph.layers:
-        name, kind = layer.name, layer.kind
-        x = acts[layer.inputs[0]]
-        p = _layer_params(params, layer)
-        if kind == "conv":
-            out = ops.conv2d_forward(x, p["weights"], p["bias"], layer.padding)
-        elif kind == "bn":
-            stats = RunningStats(p["run_mean"], p["run_var"])
-            out, new_stats, cache = ops.batchnorm_forward(x, p["gamma"], p["beta"], stats, mode)
-            if mode == "train":
-                stats_updates[f"{name}.run_mean"] = new_stats.mean
-                stats_updates[f"{name}.run_var"] = new_stats.var
-                caches[name] = cache
-        elif kind == "relu":
-            out = ops.relu(x)
-        elif kind == "maxpool":
-            out = ops.maxpool2d(x, layer.window)
-        elif kind == "gap":
-            out = ops.global_avg_pool(x)
-        elif kind == "concat":
-            parts = [acts[i] for i in layer.inputs]
-            out = ops.concatenate(parts, axis=-1)
-            caches[name] = [part.shape[-1] for part in parts]
-        elif kind == "add":
-            out = ops.residual_add(x, acts[layer.inputs[1]])
-        elif kind == "dropout":
-            if mode == "train":
-                if rng is None:
-                    raise ValueError("train-mode forward through dropout requires an rng")
-                out, mask = ops.dropout_forward(x, layer.rate, rng)
-                caches[name] = mask
-            else:
-                out = x
-        elif kind == "flatten":
-            out = x.reshape(x.shape[0], -1)
-        elif kind == "dense":
-            out = ops.dense(x, p["weights"], p["bias"])
-        elif kind == "softmax":
-            out = ops.softmax(x)
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
-        acts[name] = out
+        _layer_forward(layer, acts, _layer_params(params, layer), mode, rng, caches, stats_updates)
     if not keep_cache:
         return acts[graph.layers[-1].name], None, stats_updates
     return acts, caches, stats_updates

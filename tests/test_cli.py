@@ -161,6 +161,12 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match=r"bad.cfg:2.*bogus"):
             experiment_config_from_file(path)
 
+    @pytest.mark.parametrize("line", ["report_single_oa = true", "beta1 = 0.5"])
+    def test_removed_keys_are_unknown(self, tmp_path, line):
+        path = write_run_config(tmp_path, extra=line + "\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            experiment_config_from_file(path)
+
     def test_type_error_names_key(self, tmp_path):
         path = write_run_config(tmp_path)
         text = path.read_text().replace("seed = 11", "seed = eleven")

@@ -81,6 +81,31 @@ class TestFileFormat:
             load_dataset(path)
 
 
+class TestNonFinitePatches:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_in_memory_dataset_names_instance(self, value):
+        ds = small_dataset()
+        patches = ds.patches.copy()
+        patches[11, 2, 3, 1] = value
+        patches[40, 0, 0, 0] = value
+        with pytest.raises(ValueError, match="instance 11"):
+            PatchDataset(patches, ds.labels, ds.class_count)
+
+    def test_loaded_file_names_instance(self, tmp_path):
+        ds = small_dataset()
+        patches = ds.patches.copy()
+        patches[23, 4, 4, 0] = np.nan
+        path = tmp_path / "nan.psar"
+        with open(path, "wb") as fh:
+            fh.write(DATASET_MAGIC)
+            n, h, w, c = patches.shape
+            fh.write(struct.pack("<HIHHHH", 1, n, h, w, c, ds.class_count))
+            fh.write(patches.astype("<f4").tobytes())
+            fh.write(ds.labels.astype("<u2").tobytes())
+        with pytest.raises(ValueError, match="instance 23"):
+            load_dataset(path)
+
+
 class TestSynthetic:
     def test_same_seed_bit_identical(self):
         a = small_dataset(seed=5)

@@ -122,12 +122,11 @@ class TestRunSingle:
             )
 
     def test_aedl_records_agreement_and_optional_single_oa(self):
-        config = tiny_config(strategy="aedl-bt", report_single_oa=True)
+        config = tiny_config(strategy="aedl-bt")
         curve = run_single(config, seed=6)
         final = curve.records[-1]
         assert final.agreement is not None
         assert final.agreement.member_count == config.committee_size
-        assert final.single_model_oa is not None
 
     def test_plain_strategy_has_no_agreement(self):
         curve = run_single(tiny_config(strategy="bt"), seed=6)

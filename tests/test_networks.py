@@ -6,6 +6,8 @@ import pytest
 from aedl import networks
 from aedl.networks import (
     FormatError,
+    LayerSpec,
+    NetworkGraph,
     ParameterSet,
     build_dccnn,
     build_hresnet,
@@ -44,6 +46,72 @@ class TestShapeTraces:
 
     def test_hresnet(self, c, k):
         assert trace_shapes(build_hresnet(c, k)) == hresnet_expected(c, k)
+
+
+def _graph(*body):
+    """A small graph: the given layers, then a flatten/dense/softmax head."""
+    head = (
+        LayerSpec("flat", "flatten", (body[-1].name,), "h"),
+        LayerSpec("fc", "dense", ("flat",), "h", out_channels=3),
+        LayerSpec("prob", "softmax", ("fc",), "h"),
+    )
+    return NetworkGraph("toy", (*body, *head), (5, 5, 2), 3)
+
+
+class TestGraphConstructionErrors:
+    """Each malformed graph is rejected when built, naming the offending layer.
+
+    The wording of the messages is not part of the contract.
+    """
+
+    def test_valid_kernel_larger_than_input(self):
+        with pytest.raises(ShapeError, match="wide"):
+            _graph(
+                LayerSpec("c1", "conv", ("input",), "1", out_channels=4, kernel=(3, 3)),
+                LayerSpec("wide", "conv", ("c1",), "2", out_channels=4, kernel=(5, 5)),
+            )
+
+    def test_pool_window_that_does_not_tile(self):
+        with pytest.raises(ShapeError, match="tiler"):
+            _graph(LayerSpec("tiler", "maxpool", ("input",), "1", window=(2, 2)))
+
+    def test_concat_spatial_mismatch(self):
+        with pytest.raises(ShapeError, match="joiner"):
+            _graph(
+                LayerSpec("c1", "conv", ("input",), "1", out_channels=4, kernel=(3, 3)),
+                LayerSpec("joiner", "concat", ("input", "c1"), "2"),
+            )
+
+    def test_add_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="merger"):
+            _graph(
+                LayerSpec("c1", "conv", ("input",), "1", out_channels=2, kernel=(3, 3)),
+                LayerSpec("merger", "add", ("input", "c1"), "2"),
+            )
+
+    def test_duplicate_layer_name(self):
+        with pytest.raises(ValueError, match="twin"):
+            _graph(
+                LayerSpec("twin", "relu", ("input",), "1"),
+                LayerSpec("twin", "relu", ("input",), "2"),
+            )
+
+    def test_unknown_input(self):
+        with pytest.raises(ValueError, match="orphan"):
+            _graph(LayerSpec("orphan", "relu", ("nowhere",), "1"))
+
+    def test_unknown_layer_kind(self):
+        # This message names the kind, the one thing wrong with the layer.
+        with pytest.raises(ValueError, match="warp"):
+            _graph(LayerSpec("odd", "warp", ("input",), "1"))
+
+    def test_terminal_layer_not_softmax(self):
+        layers = (
+            LayerSpec("flat", "flatten", ("input",), "1"),
+            LayerSpec("fc", "dense", ("flat",), "1", out_channels=3),
+        )
+        with pytest.raises(ValueError, match="softmax"):
+            NetworkGraph("toy", layers, (5, 5, 2), 3)
 
 
 class TestParameterCounts:
