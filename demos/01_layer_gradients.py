@@ -3,6 +3,7 @@
 
 Every op is a pure function on float64 arrays with an explicit backward pass,
 which is what makes the gradient checks below possible without any framework.
+Ops take batches only: spatial tensors are (N, H, W, C), logits are (N, K).
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from aedl import ops
 rng = np.random.default_rng(0)
 
 print("== convolution ==")
-x = rng.standard_normal((5, 5, 3))
+x = rng.standard_normal((1, 5, 5, 3))  # a batch of one patch
 w = rng.standard_normal((3, 3, 3, 8))
 b = np.zeros(8)
 y = ops.conv2d_forward(x, w, b, padding="valid")
@@ -34,10 +35,10 @@ print("residual add with zeros is identity:",
       np.array_equal(ops.residual_add(x, np.zeros_like(x)), x))
 
 print("\n== classifier head ==")
-logits = np.array([2.0, -1.0, 0.5])
+logits = np.array([[2.0, -1.0, 0.5]])
 probs = ops.softmax(logits)
-print(f"softmax({logits}) = {np.round(probs, 4)}  (sum = {probs.sum():.6f})")
-print(f"cross entropy against class 0: {ops.cross_entropy(probs, 0):.4f}")
+print(f"softmax({logits[0]}) = {np.round(probs[0], 4)}  (sum = {probs.sum():.6f})")
+print(f"cross entropy against class 0: {ops.cross_entropy(probs, np.array([0]))[0]:.4f}")
 
 print("\n== gradient spot check (central finite differences) ==")
 proj = rng.standard_normal(y.shape)  # random projection makes the loss scalar

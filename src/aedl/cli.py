@@ -149,7 +149,8 @@ def _cmd_report(args) -> int:
     printed = False
     for a in keys:
         for b in keys:
-            if a >= b:
+            # Ratios compare strategies on one network, never across networks.
+            if a >= b or a[1] != b[1]:
                 continue
             crossing = samples_to_target(means[a], means[b], args.target_oa)
             if crossing.ratio is not None:

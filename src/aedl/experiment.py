@@ -95,7 +95,7 @@ class ExperimentConfig:
             raise ConfigError(f"round_count must be >= 0, got {self.round_count}")
         if self.committee_size * self.snapshot_interval_epochs > self.finetune_epochs:
             raise ConfigError(
-                f"committee_size {self.committee_size} x interval "
+                f"committee size {self.committee_size} x interval "
                 f"{self.snapshot_interval_epochs} exceeds finetune_epochs {self.finetune_epochs}"
             )
         if self.seeds is not None and len(self.seeds) == 0:
@@ -376,16 +376,10 @@ def run_monte_carlo(config: ExperimentConfig) -> MonteCarloResult:
 
 def sensitivity_sweep(config: ExperimentConfig, committee_sizes) -> dict[int, MonteCarloResult]:
     """One Monte Carlo result per committee size, seeds shared across sizes."""
-    results: dict[int, MonteCarloResult] = {}
-    for size in committee_sizes:
-        if size * config.snapshot_interval_epochs > config.finetune_epochs:
-            raise ConfigError(
-                f"committee size {size} x interval {config.snapshot_interval_epochs} "
-                f"exceeds finetune_epochs {config.finetune_epochs}"
-            )
-    for size in committee_sizes:
-        results[size] = run_monte_carlo(replace(config, committee_size=size))
-    return results
+    configs = {size: replace(config, committee_size=size) for size in committee_sizes}
+    for sized in configs.values():
+        sized.validate()
+    return {size: run_monte_carlo(sized) for size, sized in configs.items()}
 
 
 # ---------------------------------------------------------------------------

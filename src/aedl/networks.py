@@ -61,7 +61,7 @@ class NetworkGraph:
 
     def __post_init__(self):
         if self.layers[-1].kind != "softmax":
-            raise ValueError("terminal layer must be softmax")
+            raise ValueError(f"terminal layer {self.layers[-1].name!r} must be softmax")
         fc = self.layers[-2]
         if fc.kind != "dense" or fc.out_channels != self.class_count:
             raise ValueError("softmax must be fed by a dense layer of class_count width")
@@ -285,7 +285,7 @@ def _layer_forward(layer, acts, p, mode, rng, caches, stats_updates):
         out = ops.global_avg_pool(x)
     elif kind == "concat":
         parts = [acts[i] for i in layer.inputs]
-        out = ops.concatenate(parts, axis=-1)
+        out = ops.concatenate(parts)
         caches[name] = [part.shape[-1] for part in parts]
     elif kind == "add":
         out = ops.residual_add(x, acts[layer.inputs[1]])
@@ -304,7 +304,7 @@ def _layer_forward(layer, acts, p, mode, rng, caches, stats_updates):
     elif kind == "softmax":
         out = ops.softmax(x)
     else:
-        raise ValueError(f"unknown layer kind {kind!r}")
+        raise ValueError(f"layer {name!r} has unknown kind {kind!r}")
     acts[name] = out
 
 

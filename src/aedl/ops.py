@@ -1,9 +1,10 @@
 """Layer forward/backward primitives on float64 numpy arrays.
 
 Everything here is a pure function: outputs depend only on explicit inputs,
-so the ops are safe to call from multiple threads on disjoint data. Spatial
-tensors are channels-last, either a single instance (H, W, C) or a batch
-(N, H, W, C); single instances are promoted to a batch of one internally.
+so the ops are safe to call from multiple threads on disjoint data. Every
+tensor carries a leading batch axis: spatial tensors are channels-last
+(N, H, W, C), feature and probability tensors are (N, D). Callers convert
+their inputs to float64 once; the ops do not convert again.
 """
 
 from __future__ import annotations
@@ -37,14 +38,9 @@ class RunningStats:
         return RunningStats(np.zeros(channels), np.ones(channels))
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Promote (H, W, C) to (1, H, W, C); report whether promotion happened."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ShapeError(f"expected a 3-d or 4-d spatial tensor, got ndim={x.ndim}")
+def _check_batch(x: np.ndarray) -> None:
+    if x.ndim != 4:
+        raise ShapeError(f"expected an (N, H, W, C) spatial tensor, got ndim={x.ndim}")
 
 
 def _pad_amounts(kernel: int, size: int, padding: str) -> tuple[int, int]:
@@ -93,21 +89,19 @@ def conv2d_forward(
     Valid padding shrinks the output to (H-P+1, W-Q+1); same padding zero-fills
     so the spatial extent is preserved.
     """
-    xb, single = _as_batch(x)
-    weights = np.asarray(weights, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    _check_conv_shapes(xb, weights, bias)
+    _check_batch(x)
+    _check_conv_shapes(x, weights, bias)
     p_ext, q_ext, _, k_out = weights.shape
-    xp = _pad_input(xb, p_ext, q_ext, padding)
+    xp = _pad_input(x, p_ext, q_ext, padding)
     h_out = xp.shape[1] - p_ext + 1
     w_out = xp.shape[2] - q_ext + 1
-    out = np.empty((xb.shape[0], h_out, w_out, k_out))
+    out = np.empty((x.shape[0], h_out, w_out, k_out))
     out[:] = bias
     # Small kernels: a shifted matmul per tap beats im2col on these patch sizes.
     for p in range(p_ext):
         for q in range(q_ext):
             out += xp[:, p : p + h_out, q : q + w_out, :] @ weights[p, q]
-    return out[0] if single else out
+    return out
 
 
 def conv2d_backward(
@@ -117,18 +111,17 @@ def conv2d_backward(
     padding: str = "valid",
 ) -> LayerGradients:
     """Chain-rule gradients of conv2d_forward for weights, bias, and input."""
-    xb, single = _as_batch(x)
-    weights = np.asarray(weights, dtype=np.float64)
-    _check_conv_shapes(xb, weights, None)
-    g, _ = _as_batch(output_grad)
+    _check_batch(x)
+    _check_conv_shapes(x, weights, None)
+    g = output_grad
     p_ext, q_ext, m_in, k_out = weights.shape
-    xp = _pad_input(xb, p_ext, q_ext, padding)
+    xp = _pad_input(x, p_ext, q_ext, padding)
     h_out = xp.shape[1] - p_ext + 1
     w_out = xp.shape[2] - q_ext + 1
-    if g.shape != (xb.shape[0], h_out, w_out, k_out):
+    if g.shape != (x.shape[0], h_out, w_out, k_out):
         raise ShapeError(
             f"output_grad shape {g.shape} does not match forward output "
-            f"{(xb.shape[0], h_out, w_out, k_out)}"
+            f"{(x.shape[0], h_out, w_out, k_out)}"
         )
     grad_w = np.empty_like(weights)
     grad_x_pad = np.zeros_like(xp)
@@ -138,11 +131,9 @@ def conv2d_backward(
             grad_w[p, q] = np.tensordot(window, g, axes=([0, 1, 2], [0, 1, 2]))
             grad_x_pad[:, p : p + h_out, q : q + w_out, :] += g @ weights[p, q].T
     grad_b = g.sum(axis=(0, 1, 2))
-    ph, _ = _pad_amounts(p_ext, xb.shape[1], padding)
-    pw, _ = _pad_amounts(q_ext, xb.shape[2], padding)
-    grad_x = grad_x_pad[:, ph : ph + xb.shape[1], pw : pw + xb.shape[2], :]
-    if single:
-        grad_x = grad_x[0]
+    ph, _ = _pad_amounts(p_ext, x.shape[1], padding)
+    pw, _ = _pad_amounts(q_ext, x.shape[2], padding)
+    grad_x = grad_x_pad[:, ph : ph + x.shape[1], pw : pw + x.shape[2], :]
     return LayerGradients({"weights": grad_w, "bias": grad_b}, grad_x)
 
 
@@ -162,7 +153,6 @@ def batchnorm_forward(
     returns them unchanged (cache is None). The eps keeps a zero-variance batch
     finite.
     """
-    x = np.asarray(x, dtype=np.float64)
     channels = x.shape[-1]
     if gamma.shape != (channels,) or beta.shape != (channels,):
         raise ShapeError(
@@ -190,7 +180,7 @@ def batchnorm_backward(
 ) -> LayerGradients:
     """Backward pass through train-mode batch normalization."""
     xhat, inv_std = cache
-    g = np.asarray(output_grad, dtype=np.float64)
+    g = output_grad
     axes = tuple(range(g.ndim - 1))
     count = xhat.size // xhat.shape[-1]
     grad_gamma = (g * xhat).sum(axis=axes)
@@ -206,15 +196,16 @@ def batchnorm_backward(
 
 def relu(x: np.ndarray) -> np.ndarray:
     """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    return np.maximum(x, 0.0)
 
 
 def relu_backward(x: np.ndarray, output_grad: np.ndarray) -> np.ndarray:
-    return np.where(np.asarray(x) > 0.0, output_grad, 0.0)
+    return np.where(x > 0.0, output_grad, 0.0)
 
 
-def _pool_geometry(x: np.ndarray, window) -> tuple[int, int]:
-    wh, ww = (window, window) if np.isscalar(window) else window
+def _pool_geometry(x: np.ndarray, window: tuple[int, int]) -> tuple[int, int]:
+    _check_batch(x)
+    wh, ww = window
     if x.shape[1] % wh != 0:
         raise ShapeError(f"height {x.shape[1]} is not divisible by pool window {wh}")
     if x.shape[2] % ww != 0:
@@ -222,54 +213,46 @@ def _pool_geometry(x: np.ndarray, window) -> tuple[int, int]:
     return wh, ww
 
 
-def maxpool2d(x: np.ndarray, window) -> np.ndarray:
+def maxpool2d(x: np.ndarray, window: tuple[int, int]) -> np.ndarray:
     """Non-overlapping window maximum; stride equals the window extent."""
-    xb, single = _as_batch(x)
-    wh, ww = _pool_geometry(xb, window)
-    n, h, w, c = xb.shape
-    tiled = xb.reshape(n, h // wh, wh, w // ww, ww, c)
-    out = tiled.max(axis=(2, 4))
-    return out[0] if single else out
+    wh, ww = _pool_geometry(x, window)
+    n, h, w, c = x.shape
+    return x.reshape(n, h // wh, wh, w // ww, ww, c).max(axis=(2, 4))
 
 
-def maxpool2d_backward(x: np.ndarray, window, output_grad: np.ndarray) -> np.ndarray:
+def maxpool2d_backward(
+    x: np.ndarray, window: tuple[int, int], output_grad: np.ndarray
+) -> np.ndarray:
     """Route each window's gradient to the first maximal element of that window."""
-    xb, single = _as_batch(x)
-    g, _ = _as_batch(output_grad)
-    wh, ww = _pool_geometry(xb, window)
-    n, h, w, c = xb.shape
+    wh, ww = _pool_geometry(x, window)
+    n, h, w, c = x.shape
     ho, wo = h // wh, w // ww
-    windows = xb.reshape(n, ho, wh, wo, ww, c).transpose(0, 1, 3, 5, 2, 4).reshape(
+    windows = x.reshape(n, ho, wh, wo, ww, c).transpose(0, 1, 3, 5, 2, 4).reshape(
         n, ho, wo, c, wh * ww
     )
     winners = windows.argmax(axis=-1)
     routed = np.zeros_like(windows)
-    np.put_along_axis(routed, winners[..., None], g[..., None], axis=-1)
-    grad = (
+    np.put_along_axis(routed, winners[..., None], output_grad[..., None], axis=-1)
+    return (
         routed.reshape(n, ho, wo, c, wh, ww).transpose(0, 1, 4, 2, 5, 3).reshape(n, h, w, c)
     )
-    return grad[0] if single else grad
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Spatial mean per channel: (N, H, W, C) -> (N, C)."""
-    xb, single = _as_batch(x)
-    out = xb.mean(axis=(1, 2))
-    return out[0] if single else out
+    _check_batch(x)
+    return x.mean(axis=(1, 2))
 
 
 def global_avg_pool_backward(x: np.ndarray, output_grad: np.ndarray) -> np.ndarray:
-    xb, single = _as_batch(x)
-    g = np.asarray(output_grad, dtype=np.float64).reshape(xb.shape[0], xb.shape[3])
-    grad = np.broadcast_to(
-        g[:, None, None, :] / (xb.shape[1] * xb.shape[2]), xb.shape
+    _check_batch(x)
+    return np.broadcast_to(
+        output_grad[:, None, None, :] / (x.shape[1] * x.shape[2]), x.shape
     ).copy()
-    return grad[0] if single else grad
 
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map x @ weights + bias on (N, D) or a single (D,) vector."""
-    x = np.asarray(x, dtype=np.float64)
+    """Affine map x @ weights + bias on (N, D)."""
     if x.shape[-1] != weights.shape[0]:
         raise ShapeError(
             f"input feature count {x.shape[-1]} does not match weight rows {weights.shape[0]}"
@@ -282,43 +265,32 @@ def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 def dense_backward(x: np.ndarray, weights: np.ndarray, output_grad: np.ndarray) -> LayerGradients:
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(output_grad, dtype=np.float64)
-    if x.ndim == 1:
-        grad_w = np.outer(x, g)
-        grad_b = g.copy()
-    else:
-        grad_w = x.T @ g
-        grad_b = g.sum(axis=0)
-    return LayerGradients({"weights": grad_w, "bias": grad_b}, g @ weights.T)
+    g = output_grad
+    return LayerGradients({"weights": x.T @ g, "bias": g.sum(axis=0)}, g @ weights.T)
 
 
-def concatenate(parts, axis: int = -1) -> np.ndarray:
-    """Join tensors along one axis; every other axis must agree."""
-    parts = [np.asarray(p, dtype=np.float64) for p in parts]
+def concatenate(parts) -> np.ndarray:
+    """Join tensors along the channel (last) axis; every other axis must agree."""
     first = parts[0]
-    ax = axis % first.ndim
     for i, p in enumerate(parts[1:], start=1):
         if p.ndim != first.ndim:
             raise ShapeError(f"part {i} has ndim={p.ndim}, expected {first.ndim}")
-        for d in range(first.ndim):
-            if d != ax and p.shape[d] != first.shape[d]:
+        for d in range(first.ndim - 1):
+            if p.shape[d] != first.shape[d]:
                 raise ShapeError(
                     f"part {i} disagrees on axis {d}: {p.shape[d]} vs {first.shape[d]}"
                 )
-    return np.concatenate(parts, axis=ax)
+    return np.concatenate(parts, axis=-1)
 
 
-def concatenate_backward(output_grad: np.ndarray, sizes, axis: int = -1):
+def concatenate_backward(output_grad: np.ndarray, sizes):
     """Split the incoming gradient back into the concatenated parts."""
     cuts = np.cumsum(sizes)[:-1]
-    return np.split(np.asarray(output_grad), cuts, axis=axis)
+    return np.split(output_grad, cuts, axis=-1)
 
 
 def residual_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise sum of two equally shaped tensors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"add requires equal shapes, got {a.shape} vs {b.shape}")
     return a + b
@@ -328,19 +300,17 @@ def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator):
     """Inverted dropout: zero a `rate` fraction and rescale survivors by 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    x = np.asarray(x, dtype=np.float64)
     mask = rng.random(x.shape) >= rate
     return x * mask / (1.0 - rate), mask
 
 
 def dropout_backward(mask: np.ndarray, rate: float, output_grad: np.ndarray) -> np.ndarray:
-    return np.asarray(output_grad) * mask / (1.0 - rate)
+    return output_grad * mask / (1.0 - rate)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-stochastic softmax over the last axis, max-subtracted for stability."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -348,19 +318,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 PROB_FLOOR = 1e-12
 
 
-def cross_entropy(probs: np.ndarray, label) -> np.ndarray | float:
-    """-log(probs[label]) with a floor clamp; batched when probs is 2-d."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim == 1:
-        return -np.log(max(p[int(label)], PROB_FLOOR))
-    picked = p[np.arange(p.shape[0]), np.asarray(label, dtype=np.intp)]
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row -log(probs[i, labels[i]]) with a floor clamp."""
+    picked = probs[np.arange(probs.shape[0]), labels]
     return -np.log(np.maximum(picked, PROB_FLOOR))
 
 
 def mean_loss_logit_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Gradient of the batch-mean cross entropy wrt the softmax logits."""
-    p = np.asarray(probs, dtype=np.float64)
-    grad = p.copy()
-    rows = np.arange(p.shape[0])
-    grad[rows, np.asarray(labels, dtype=np.intp)] -= 1.0
-    return grad / p.shape[0]
+    grad = probs.copy()
+    grad[np.arange(probs.shape[0]), labels] -= 1.0
+    return grad / probs.shape[0]

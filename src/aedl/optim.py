@@ -8,32 +8,28 @@ import numpy as np
 
 from .ops import ShapeError
 
+# Moment decay rates and denominator floor (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the update hyperparameters."""
+    """Per-parameter first/second moments plus the learning rate."""
 
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError(f"betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
-def init_adam(params: dict[str, np.ndarray], **hyper) -> AdamState:
+def init_adam(params: dict[str, np.ndarray], learning_rate: float = 1e-3) -> AdamState:
     """Zero-moment state matching the shapes of the given named parameters."""
     return AdamState(
         first_moment={name: np.zeros_like(p) for name, p in params.items()},
         second_moment={name: np.zeros_like(p) for name, p in params.items()},
-        **hyper,
+        learning_rate=learning_rate,
     )
 
 
@@ -49,7 +45,7 @@ def adam_step(
             got = None if g is None else g.shape
             raise ShapeError(f"gradient for {name!r} has shape {got}, expected {p.shape}")
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     new_params: dict[str, np.ndarray] = {}
@@ -62,14 +58,11 @@ def adam_step(
         new_m[name] = m
         new_v[name] = v
         new_params[name] = p - state.learning_rate * (m / corr1) / (
-            np.sqrt(v / corr2) + state.epsilon
+            np.sqrt(v / corr2) + EPSILON
         )
     return new_params, AdamState(
         step_count=t,
         first_moment=new_m,
         second_moment=new_v,
         learning_rate=state.learning_rate,
-        beta1=b1,
-        beta2=b2,
-        epsilon=state.epsilon,
     )

@@ -62,7 +62,7 @@ def _gradient_checks():
         else:
             p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         m, k = (int(v) for v in rng.integers(1, 4, size=2))
-        x = rng.standard_normal((int(h), int(w), m))
+        x = rng.standard_normal((1, int(h), int(w), m))
         weights = rng.standard_normal((p, q, m, k))
         bias = rng.standard_normal(k)
         proj = rng.standard_normal(ops.conv2d_forward(x, weights, bias, padding).shape)
@@ -108,8 +108,8 @@ def _gradient_checks():
 
     for _ in range(SHAPES_PER_KIND):
         wh, ww, ho, wo, c = (int(v) for v in rng.integers(1, 4, size=5))
-        x = spaced_values(rng, (ho * wh, wo * ww, c))
-        proj = rng.standard_normal((ho, wo, c))
+        x = spaced_values(rng, (1, ho * wh, wo * ww, c))
+        proj = rng.standard_normal((1, ho, wo, c))
         yield "maxpool2d", {
             "input": (
                 ops.maxpool2d_backward(x, (wh, ww), proj),

@@ -134,6 +134,24 @@ class TestReport:
         assert "agreement histogram" in out
         assert "aedl-bt" in out
 
+    def test_ratios_pair_curves_of_one_network_only(self, tmp_path, capsys):
+        def export(strategy, network, oas):
+            out = tmp_path / f"{strategy}-{network}"
+            out.mkdir()
+            rows = [f"{strategy},{network},0,{r},{10 * (r + 1)},{oa}" for r, oa in enumerate(oas)]
+            header = "strategy,network,seed,round,labeled_count,oa"
+            (out / "aggregate.csv").write_text("\n".join([header, *rows]) + "\n")
+
+        export("aedl-bt", "wcrn", [0.5, 0.7, 0.9])
+        export("rs", "hresnet", [0.4, 0.6, 0.8])
+        assert main(["report", "--in", str(tmp_path), "--target-oa", "0.6"]) == 0
+        assert "ratio" not in capsys.readouterr().out
+        export("bt", "wcrn", [0.4, 0.6, 0.8])
+        assert main(["report", "--in", str(tmp_path), "--target-oa", "0.6"]) == 0
+        out = capsys.readouterr().out
+        assert "aedl-bt/bt on wcrn: 0.750" in out
+        assert "/rs" not in out
+
     def test_report_on_empty_directory_fails(self, tmp_path):
         with pytest.raises(SystemExit, match="no aggregate"):
             main(["report", "--in", str(tmp_path)])

@@ -41,7 +41,7 @@ class TestConvGradients:
             p = int(rng.integers(1, h + 1)) if padding == "valid" else int(rng.integers(1, 4))
             q = int(rng.integers(1, w + 1)) if padding == "valid" else int(rng.integers(1, 4))
             m, k = rng.integers(1, 4, size=2)
-            x = rng.standard_normal((h, w, m))
+            x = rng.standard_normal((1, h, w, m))
             weights = rng.standard_normal((p, q, m, k))
             bias = rng.standard_normal(k)
             proj = rng.standard_normal(
@@ -73,9 +73,9 @@ class TestConvGradients:
     def test_spec_example_shape(self):
         # 5x5x2 input with a 3x3x2x4 bank, the documented reference case.
         rng = np.random.default_rng(101)
-        x = rng.standard_normal((5, 5, 2))
+        x = rng.standard_normal((1, 5, 5, 2))
         w = rng.standard_normal((3, 3, 2, 4))
-        proj = rng.standard_normal((3, 3, 4))
+        proj = rng.standard_normal((1, 3, 3, 4))
         grads = ops.conv2d_backward(x, w, proj)
         loss = lambda v: float((ops.conv2d_forward(v, w, np.zeros(4)) * proj).sum())
         assert_grad_close(grads.input_grad, numerical_grad(loss, x), "conv 5x5x2")
@@ -127,8 +127,8 @@ class TestActivationPoolGradients:
             wh, ww = rng.integers(1, 4, size=2)
             ho, wo = rng.integers(1, 4, size=2)
             c = int(rng.integers(1, 4))
-            x = spaced_values(rng, (int(ho * wh), int(wo * ww), c))
-            proj = rng.standard_normal((int(ho), int(wo), c))
+            x = spaced_values(rng, (1, int(ho * wh), int(wo * ww), c))
+            proj = rng.standard_normal((1, int(ho), int(wo), c))
             analytic = ops.maxpool2d_backward(x, (int(wh), int(ww)), proj)
             numeric = numerical_grad(
                 lambda v: float((ops.maxpool2d(v, (int(wh), int(ww))) * proj).sum()), x

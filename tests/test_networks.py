@@ -101,8 +101,7 @@ class TestGraphConstructionErrors:
             _graph(LayerSpec("orphan", "relu", ("nowhere",), "1"))
 
     def test_unknown_layer_kind(self):
-        # This message names the kind, the one thing wrong with the layer.
-        with pytest.raises(ValueError, match="warp"):
+        with pytest.raises(ValueError, match="'odd' has unknown kind 'warp'"):
             _graph(LayerSpec("odd", "warp", ("input",), "1"))
 
     def test_terminal_layer_not_softmax(self):
@@ -110,7 +109,7 @@ class TestGraphConstructionErrors:
             LayerSpec("flat", "flatten", ("input",), "1"),
             LayerSpec("fc", "dense", ("flat",), "1", out_channels=3),
         )
-        with pytest.raises(ValueError, match="softmax"):
+        with pytest.raises(ValueError, match="'fc' must be softmax"):
             NetworkGraph("toy", layers, (5, 5, 2), 3)
 
 

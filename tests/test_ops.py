@@ -35,26 +35,43 @@ def conv_reference(x, w, b, padding="valid"):
     return out
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: ops.conv2d_forward(x, np.zeros((1, 1, 2, 3)), np.zeros(3)),
+        lambda x: ops.conv2d_backward(x, np.zeros((1, 1, 2, 3)), np.zeros((1, 4, 4, 3))),
+        lambda x: ops.maxpool2d(x, (2, 2)),
+        lambda x: ops.maxpool2d_backward(x, (2, 2), np.zeros((1, 2, 2, 2))),
+        lambda x: ops.global_avg_pool(x),
+        lambda x: ops.global_avg_pool_backward(x, np.zeros((1, 2))),
+    ],
+    ids=["conv", "conv_backward", "maxpool", "maxpool_backward", "gap", "gap_backward"],
+)
+def test_spatial_ops_reject_unbatched_input(call):
+    with pytest.raises(ShapeError, match="ndim=3"):
+        call(np.zeros((4, 4, 2)))
+
+
 class TestConv2d:
     def test_single_multiply_add(self):
         out = ops.conv2d_forward(
-            np.full((1, 1, 1), 3.0), np.full((1, 1, 1, 1), 2.0), np.array([1.0])
+            np.full((1, 1, 1, 1), 3.0), np.full((1, 1, 1, 1), 2.0), np.array([1.0])
         )
-        np.testing.assert_array_equal(out, np.full((1, 1, 1), 7.0))
+        np.testing.assert_array_equal(out, np.full((1, 1, 1, 1), 7.0))
 
     def test_all_ones_three_by_three(self):
         out = ops.conv2d_forward(
-            np.ones((3, 3, 1)), np.ones((3, 3, 1, 1)), np.zeros(1)
+            np.ones((1, 3, 3, 1)), np.ones((3, 3, 1, 1)), np.zeros(1)
         )
-        assert out.shape == (1, 1, 1)
-        np.testing.assert_allclose(out, [[[9.0]]])
+        assert out.shape == (1, 1, 1, 1)
+        np.testing.assert_allclose(out, [[[[9.0]]]])
 
     def test_zero_weights_give_bias(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((4, 5, 3))
+        x = rng.standard_normal((1, 4, 5, 3))
         b = np.array([2.5, -1.0])
         out = ops.conv2d_forward(x, np.zeros((3, 3, 3, 2)), b)
-        np.testing.assert_array_equal(out, np.broadcast_to(b, (2, 3, 2)))
+        np.testing.assert_array_equal(out, np.broadcast_to(b, (1, 2, 3, 2)))
 
     @pytest.mark.parametrize("padding", ["valid", "same"])
     def test_matches_reference(self, padding):
@@ -66,41 +83,44 @@ class TestConv2d:
             x = rng.standard_normal((h, w, m))
             weights = rng.standard_normal((p, q, m, k))
             bias = rng.standard_normal(k)
-            got = ops.conv2d_forward(x, weights, bias, padding)
+            got = ops.conv2d_forward(x[None], weights, bias, padding)[0]
             np.testing.assert_allclose(
                 got, conv_reference(x, weights, bias, padding), atol=1e-12
             )
 
     def test_identity_kernel_passthrough(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((5, 5, 3))
+        x = rng.standard_normal((1, 5, 5, 3))
         ident = np.eye(3).reshape(1, 1, 3, 3)
         np.testing.assert_array_equal(
             ops.conv2d_forward(x, ident, np.zeros(3)), x
         )
 
     def test_batched_equals_stacked_single(self):
+        # Each row run alone, as a batch of one, matches its row of the batched result.
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 5, 5, 2))
         w = rng.standard_normal((3, 3, 2, 6))
         b = rng.standard_normal(6)
         batched = ops.conv2d_forward(x, w, b)
         for i in range(4):
-            np.testing.assert_allclose(batched[i], ops.conv2d_forward(x[i], w, b), atol=1e-12)
+            np.testing.assert_allclose(
+                batched[i], ops.conv2d_forward(x[i : i + 1], w, b)[0], atol=1e-12
+            )
 
     def test_channel_mismatch_names_dimension(self):
         with pytest.raises(ShapeError, match="M=3"):
             ops.conv2d_forward(
-                np.zeros((4, 4, 3)), np.zeros((2, 2, 4, 5)), np.zeros(5)
+                np.zeros((1, 4, 4, 3)), np.zeros((2, 2, 4, 5)), np.zeros(5)
             )
 
     def test_kernel_too_large_for_valid(self):
         with pytest.raises(ShapeError, match="exceeds"):
-            ops.conv2d_forward(np.zeros((2, 2, 1)), np.zeros((3, 3, 1, 1)), np.zeros(1))
+            ops.conv2d_forward(np.zeros((1, 2, 2, 1)), np.zeros((3, 3, 1, 1)), np.zeros(1))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((6, 6, 3))
+        x = rng.standard_normal((1, 6, 6, 3))
         w = rng.standard_normal((3, 3, 3, 4))
         b = rng.standard_normal(4)
         a = ops.conv2d_forward(x, w, b)
@@ -110,19 +130,19 @@ class TestConv2d:
 class TestConv2dBackward:
     def test_scalar_chain_rule(self):
         grads = ops.conv2d_backward(
-            np.full((1, 1, 1), 3.0),
+            np.full((1, 1, 1, 1), 3.0),
             np.full((1, 1, 1, 1), 2.0),
-            np.full((1, 1, 1), 1.0),
+            np.full((1, 1, 1, 1), 1.0),
         )
         np.testing.assert_array_equal(grads.parameter_grads["weights"], [[[[3.0]]]])
         np.testing.assert_array_equal(grads.parameter_grads["bias"], [1.0])
-        np.testing.assert_array_equal(grads.input_grad, [[[2.0]]])
+        np.testing.assert_array_equal(grads.input_grad, [[[[2.0]]]])
 
     def test_zero_output_grad(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((4, 4, 2))
+        x = rng.standard_normal((1, 4, 4, 2))
         w = rng.standard_normal((2, 2, 2, 3))
-        grads = ops.conv2d_backward(x, w, np.zeros((3, 3, 3)))
+        grads = ops.conv2d_backward(x, w, np.zeros((1, 3, 3, 3)))
         assert not grads.parameter_grads["weights"].any()
         assert not grads.parameter_grads["bias"].any()
         assert not grads.input_grad.any()
@@ -130,7 +150,7 @@ class TestConv2dBackward:
     def test_output_grad_shape_rejected(self):
         with pytest.raises(ShapeError, match="output_grad"):
             ops.conv2d_backward(
-                np.zeros((4, 4, 2)), np.zeros((2, 2, 2, 3)), np.zeros((4, 4, 3))
+                np.zeros((1, 4, 4, 2)), np.zeros((2, 2, 2, 3)), np.zeros((1, 4, 4, 3))
             )
 
 
@@ -209,14 +229,14 @@ class TestSimpleOps:
 
     def test_maxpool_table_branch_shape(self):
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((5, 5, 64))
+        x = rng.standard_normal((1, 5, 5, 64))
         out = ops.maxpool2d(x, (5, 5))
-        assert out.shape == (1, 1, 64)
-        np.testing.assert_array_equal(out[0, 0], x.max(axis=(0, 1)))
+        assert out.shape == (1, 1, 1, 64)
+        np.testing.assert_array_equal(out[0, 0, 0], x[0].max(axis=(0, 1)))
 
     def test_maxpool_indivisible_rejected(self):
         with pytest.raises(ShapeError, match="not divisible"):
-            ops.maxpool2d(np.zeros((5, 5, 2)), (2, 2))
+            ops.maxpool2d(np.zeros((1, 5, 5, 2)), (2, 2))
 
     def test_residual_add_identity(self):
         rng = np.random.default_rng(11)
@@ -228,8 +248,8 @@ class TestSimpleOps:
             ops.residual_add(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
 
     def test_global_avg_pool_constant_channels(self):
-        x = np.stack([np.full((7, 7), v) for v in (1.0, -2.0, 0.5)], axis=-1)
-        np.testing.assert_allclose(ops.global_avg_pool(x), [1.0, -2.0, 0.5])
+        x = np.stack([np.full((7, 7), v) for v in (1.0, -2.0, 0.5)], axis=-1)[None]
+        np.testing.assert_allclose(ops.global_avg_pool(x), [[1.0, -2.0, 0.5]])
 
     def test_concatenate_joins_channels(self):
         a = np.ones((1, 1, 2))
@@ -247,9 +267,9 @@ class TestSimpleOps:
         np.testing.assert_array_equal(np.concatenate(parts, axis=-1), g)
 
     def test_dense_affine(self):
-        x = np.array([1.0, 2.0])
+        x = np.array([[1.0, 2.0]])
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(ops.dense(x, w, np.array([0.5, -0.5])), [1.5, 1.5])
+        np.testing.assert_array_equal(ops.dense(x, w, np.array([0.5, -0.5])), [[1.5, 1.5]])
 
     def test_dropout_train_zeroes_about_half(self):
         rng = np.random.default_rng(13)
@@ -263,18 +283,19 @@ class TestSimpleOps:
 
 class TestSoftmaxCrossEntropy:
     def test_symmetry(self):
-        np.testing.assert_allclose(ops.softmax(np.array([0.0, 0.0])), [0.5, 0.5])
+        np.testing.assert_allclose(ops.softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
 
     def test_large_logits_stable(self):
-        out = ops.softmax(np.array([1000.0, 0.0]))
+        out = ops.softmax(np.array([[1000.0, 0.0]]))
         assert np.isfinite(out).all()
-        np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-12)
 
     def test_cross_entropy_half(self):
-        assert ops.cross_entropy(np.array([0.5, 0.5]), 0) == pytest.approx(math.log(2))
+        value = ops.cross_entropy(np.array([[0.5, 0.5]]), np.array([0]))
+        assert value.shape == (1,) and value[0] == pytest.approx(math.log(2))
 
     def test_cross_entropy_floor(self):
-        value = ops.cross_entropy(np.array([0.0, 1.0]), 0)
+        value = ops.cross_entropy(np.array([[0.0, 1.0]]), np.array([0]))[0]
         assert np.isfinite(value) and value == pytest.approx(-math.log(1e-12))
 
     def test_batched_cross_entropy(self):
@@ -289,6 +310,6 @@ class TestSoftmaxCrossEntropy:
         )
     )
     def test_rows_stochastic(self, logits):
-        out = ops.softmax(np.array(logits))
+        out = ops.softmax(np.array([logits]))
         assert out.sum() == pytest.approx(1.0, abs=1e-6)
         assert out.min() >= 0.0 and out.max() <= 1.0

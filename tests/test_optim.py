@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aedl.ops import ShapeError
-from aedl.optim import AdamState, adam_step, init_adam
+from aedl.optim import BETA1, BETA2, EPSILON, adam_step, init_adam
 
 
 def test_zero_gradient_leaves_params_and_moments():
@@ -39,10 +39,10 @@ def test_constant_gradient_moves_monotonically():
 
 def test_recurrence_matches_direct_evaluation():
     # Two steps replayed against a hand-rolled evaluation of the recurrences.
-    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    lr, b1, b2, eps = 1e-2, BETA1, BETA2, EPSILON
     p = np.array([0.5])
     grads = [np.array([1.2]), np.array([-0.3])]
-    state = init_adam({"w": p}, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+    state = init_adam({"w": p}, learning_rate=lr)
     params = {"w": p}
     m = np.zeros(1)
     v = np.zeros(1)
@@ -66,9 +66,3 @@ def test_missing_gradient_rejected():
     params = {"w": np.zeros(2)}
     with pytest.raises(ShapeError):
         adam_step(params, {}, init_adam(params))
-
-
-@pytest.mark.parametrize("beta1,beta2", [(0.0, 0.999), (0.9, 1.0), (1.5, 0.9)])
-def test_invalid_betas_rejected(beta1, beta2):
-    with pytest.raises(ValueError):
-        AdamState(beta1=beta1, beta2=beta2)
