@@ -11,7 +11,6 @@ numpy loads; ``from aedl import build_wcrn`` works as usual.
 _EXPORTS = {
     # ops
     "LayerGradients": "ops",
-    "RunningStats": "ops",
     "ShapeError": "ops",
     # optim
     "AdamState": "optim",

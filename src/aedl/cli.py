@@ -120,7 +120,8 @@ def _mean_curves_by_group(curves):
     for key, members in groups.items():
         counts = members[0].labeled_counts
         if any(not np.array_equal(m.labeled_counts, counts) for m in members):
-            continue  # mismatched grids cannot be averaged
+            print(f"skipped {key[0]} on {key[1]}: its seeds have different labeled-count grids")
+            continue
         out[key] = CurvePoints(counts, np.mean([m.oas for m in members], axis=0))
     return out
 

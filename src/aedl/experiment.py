@@ -91,6 +91,8 @@ class ExperimentConfig:
         for name, value in positive.items():
             if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ConfigError(f"learning_rate must be a positive finite number, got {self.learning_rate}")
         if self.round_count < 0:
             raise ConfigError(f"round_count must be >= 0, got {self.round_count}")
         if self.committee_size * self.snapshot_interval_epochs > self.finetune_epochs:
@@ -216,7 +218,7 @@ def predict_probabilities(
         stop = min(start + chunk, n)
         total = None
         for j, member in enumerate(members):
-            probs = forward_batch(graph, member, patches[start:stop], mode="infer")
+            probs = forward_batch(graph, member, patches[start:stop])
             member_preds[j, start:stop] = probs.argmax(axis=1)
             total = probs if total is None else total + probs
         mean_probs[start:stop] = total / len(members)

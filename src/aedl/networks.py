@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import ops
-from .ops import LayerGradients, RunningStats, ShapeError
+from .ops import LayerGradients, ShapeError
 from .optim import AdamState, adam_step
 
 
@@ -251,9 +251,8 @@ def check_params(graph: NetworkGraph, params: ParameterSet) -> None:
             raise ShapeError(f"parameter set has unexpected entry {name!r}")
 
 
-def parameter_count(graph: NetworkGraph, trainable_only: bool = True) -> int:
-    names = trainable_names(graph) if trainable_only else graph.param_shapes
-    return sum(int(np.prod(graph.param_shapes[n])) for n in names)
+def parameter_count(graph: NetworkGraph) -> int:
+    return sum(int(np.prod(graph.param_shapes[n])) for n in trainable_names(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +270,11 @@ def _layer_forward(layer, acts, p, mode, rng, caches, stats_updates):
     if kind == "conv":
         out = ops.conv2d_forward(x, p["weights"], p["bias"], layer.padding)
     elif kind == "bn":
-        stats = RunningStats(p["run_mean"], p["run_var"])
-        out, new_stats, cache = ops.batchnorm_forward(x, p["gamma"], p["beta"], stats, mode)
+        out, (mean, var), cache = ops.batchnorm_forward(
+            x, p["gamma"], p["beta"], p["run_mean"], p["run_var"], mode
+        )
         if mode == "train":
-            stats_updates[f"{name}.run_mean"] = new_stats.mean
-            stats_updates[f"{name}.run_var"] = new_stats.var
+            stats_updates.update({f"{name}.run_mean": mean, f"{name}.run_var": var})
             caches[name] = cache
     elif kind == "relu":
         out = ops.relu(x)
@@ -284,17 +283,14 @@ def _layer_forward(layer, acts, p, mode, rng, caches, stats_updates):
     elif kind == "gap":
         out = ops.global_avg_pool(x)
     elif kind == "concat":
-        parts = [acts[i] for i in layer.inputs]
-        out = ops.concatenate(parts)
-        caches[name] = [part.shape[-1] for part in parts]
+        out = ops.concatenate([acts[i] for i in layer.inputs])
     elif kind == "add":
         out = ops.residual_add(x, acts[layer.inputs[1]])
     elif kind == "dropout":
         if mode == "train":
             if rng is None:
                 raise ValueError("train-mode forward through dropout requires an rng")
-            out, mask = ops.dropout_forward(x, layer.rate, rng)
-            caches[name] = mask
+            out, caches[name] = ops.dropout_forward(x, layer.rate, rng)
         else:
             out = x
     elif kind == "flatten":
@@ -308,75 +304,76 @@ def _layer_forward(layer, acts, p, mode, rng, caches, stats_updates):
     acts[name] = out
 
 
-def _forward(graph, params, batch, mode, rng, keep_cache):
+def _layer_backward(layer, acts, p, cache, g):
+    """Back-propagate g through one layer: (parameter grads, one grad per layer.inputs)."""
+    kind = layer.kind
+    x = acts[layer.inputs[0]]
+    if kind == "conv":
+        grad = ops.conv2d_backward(x, p["weights"], g, layer.padding)
+    elif kind == "bn":
+        grad = ops.batchnorm_backward(p["gamma"], cache, g)
+    elif kind == "dense":
+        grad = ops.dense_backward(x, p["weights"], g)
+    elif kind == "relu":
+        grad = ops.relu_backward(x, g)
+    elif kind == "maxpool":
+        grad = ops.maxpool2d_backward(x, layer.window, g)
+    elif kind == "gap":
+        grad = ops.global_avg_pool_backward(x, g)
+    elif kind == "concat":
+        return {}, ops.concatenate_backward(g, [acts[i].shape[-1] for i in layer.inputs])
+    elif kind == "add":
+        return {}, (g, g)
+    elif kind == "dropout":
+        grad = ops.dropout_backward(cache, layer.rate, g)
+    else:  # flatten
+        grad = g.reshape(x.shape)
+    if isinstance(grad, LayerGradients):
+        return grad.parameter_grads, (grad.input_grad,)
+    return {}, (grad,)
+
+
+def _forward(graph, params, batch, mode, rng):
     acts: dict[str, np.ndarray] = {"input": batch}
     caches: dict[str, object] = {}
     stats_updates: dict[str, np.ndarray] = {}
     for layer in graph.layers:
         _layer_forward(layer, acts, _layer_params(params, layer), mode, rng, caches, stats_updates)
-    if not keep_cache:
-        return acts[graph.layers[-1].name], None, stats_updates
     return acts, caches, stats_updates
 
 
-def forward_batch(
-    graph: NetworkGraph,
-    params: ParameterSet,
-    batch: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Run the network on (N, H, W, C) patches; returns row-stochastic (N, K)."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 4 or batch.shape[1:] != graph.input_shape:
-        raise ShapeError(
-            f"batch shape {batch.shape} does not match input {('N',) + graph.input_shape}"
-        )
-    check_params(graph, params)
-    probs, _, _ = _forward(graph, params, batch, mode, rng, keep_cache=False)
-    return probs
-
-
 def _backward(graph, params, acts, caches, labels):
-    grad_acts: dict[str, np.ndarray] = {}
+    softmax = graph.layers[-1]
+    # The softmax gradient is fused with the mean cross-entropy loss.
+    grad_acts = {softmax.inputs[0]: ops.mean_loss_logit_grad(acts[softmax.name], labels)}
     param_grads: dict[str, np.ndarray] = {}
-    for layer in reversed(graph.layers):
-        name, kind = layer.name, layer.kind
-        g = grad_acts.pop(name, None)
-        x = acts[layer.inputs[0]]
-        if kind == "softmax":
-            # Fused with the mean cross-entropy loss.
-            grad = ops.mean_loss_logit_grad(acts[name], labels)
-        elif g is None:
+    for layer in reversed(graph.layers[:-1]):
+        g = grad_acts.pop(layer.name, None)
+        if g is None:
             continue  # not on the loss path
-        elif kind == "conv":
-            grad = ops.conv2d_backward(x, params.entries[f"{name}.weights"], g, layer.padding)
-        elif kind == "bn":
-            grad = ops.batchnorm_backward(params.entries[f"{name}.gamma"], caches[name], g)
-        elif kind == "dense":
-            grad = ops.dense_backward(x, params.entries[f"{name}.weights"], g)
-        elif kind == "relu":
-            grad = ops.relu_backward(x, g)
-        elif kind == "maxpool":
-            grad = ops.maxpool2d_backward(x, layer.window, g)
-        elif kind == "gap":
-            grad = ops.global_avg_pool_backward(x, g)
-        elif kind == "concat":
-            grad = ops.concatenate_backward(g, caches[name])
-        elif kind == "add":
-            grad = (g, g)
-        elif kind == "dropout":
-            grad = ops.dropout_backward(caches[name], layer.rate, g)
-        else:  # flatten
-            grad = g.reshape(x.shape)
-        if isinstance(grad, LayerGradients):
-            for part, value in grad.parameter_grads.items():
-                param_grads[f"{name}.{part}"] = value
-            grad = grad.input_grad
-        # Merge layers return one gradient per input; fan-out sums them.
-        for src, part in zip(layer.inputs, grad if kind in ("concat", "add") else (grad,)):
+        p = _layer_params(params, layer)
+        grads, input_grads = _layer_backward(layer, acts, p, caches.get(layer.name), g)
+        param_grads.update({f"{layer.name}.{part}": value for part, value in grads.items()})
+        # An activation feeding several layers gets the sum of their gradients.
+        for src, part in zip(layer.inputs, input_grads):
             grad_acts[src] = grad_acts[src] + part if src in grad_acts else part
     return param_grads, grad_acts.get("input")
+
+
+def _checked_batch(graph: NetworkGraph, params: ParameterSet, batch) -> np.ndarray:
+    """Check params against the graph; return the patches as float64 (N, *input_shape)."""
+    check_params(graph, params)
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 4 or batch.shape[1:] != graph.input_shape:
+        raise ShapeError(f"batch shape {batch.shape} does not match input {('N', *graph.input_shape)}")
+    return batch
+
+
+def forward_batch(graph: NetworkGraph, params: ParameterSet, batch: np.ndarray) -> np.ndarray:
+    """Run the network in infer mode on (N, H, W, C) patches; returns row-stochastic (N, K)."""
+    batch = _checked_batch(graph, params, batch)
+    acts, _, _ = _forward(graph, params, batch, "infer", None)
+    return acts[graph.layers[-1].name]
 
 
 def train_step(
@@ -388,20 +385,18 @@ def train_step(
     rng: np.random.Generator | None = None,
 ) -> tuple[ParameterSet, AdamState, float]:
     """One forward/backward/Adam update over a batch; returns mean cross entropy."""
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = _checked_batch(graph, params, batch)
     labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != (len(batch),):
+        raise ValueError(f"labels of shape {labels.shape} do not match a batch of {len(batch)}")
     if labels.min() < 0 or labels.max() >= graph.class_count:
         raise ValueError(f"labels must lie in [0, {graph.class_count})")
-    check_params(graph, params)
-    acts, caches, stats_updates = _forward(graph, params, batch, "train", rng, keep_cache=True)
-    probs = acts[graph.layers[-1].name]
-    loss = float(np.mean(ops.cross_entropy(probs, labels)))
+    acts, caches, stats_updates = _forward(graph, params, batch, "train", rng)
+    loss = float(np.mean(ops.cross_entropy(acts[graph.layers[-1].name], labels)))
     param_grads, _ = _backward(graph, params, acts, caches, labels)
     trainable = {n: params.entries[n] for n in trainable_names(graph)}
     updated, new_state = adam_step(trainable, param_grads, adam_state)
-    entries = dict(params.entries)
-    entries.update(updated)
-    entries.update(stats_updates)
+    entries = {**params.entries, **updated, **stats_updates}
     return ParameterSet(entries, params.epoch_tag), new_state, loss
 
 

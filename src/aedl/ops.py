@@ -26,18 +26,6 @@ class LayerGradients:
     input_grad: np.ndarray
 
 
-@dataclass(frozen=True)
-class RunningStats:
-    """Exponential-moving-average channel statistics kept by batch norm."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    @staticmethod
-    def initial(channels: int) -> "RunningStats":
-        return RunningStats(np.zeros(channels), np.ones(channels))
-
-
 def _check_batch(x: np.ndarray) -> None:
     if x.ndim != 4:
         raise ShapeError(f"expected an (N, H, W, C) spatial tensor, got ndim={x.ndim}")
@@ -137,21 +125,25 @@ def conv2d_backward(
     return LayerGradients({"weights": grad_w, "bias": grad_b}, grad_x)
 
 
+# Batch norm's running-stat momentum, and the variance offset that keeps a
+# zero-variance batch finite.
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
+
 def batchnorm_forward(
     x: np.ndarray,
     gamma: np.ndarray,
     beta: np.ndarray,
-    stats: RunningStats,
+    run_mean: np.ndarray,
+    run_var: np.ndarray,
     mode: str,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
 ):
-    """Normalize per channel; returns (output, updated stats, backward cache).
+    """Normalize per channel; returns (output, (run_mean, run_var), backward cache).
 
     Train mode normalizes with batch statistics over every non-channel axis and
-    folds them into the running stats; infer mode applies the running stats and
-    returns them unchanged (cache is None). The eps keeps a zero-variance batch
-    finite.
+    folds them into the running mean and variance; infer mode applies the
+    running stats and returns them unchanged (cache is None).
     """
     channels = x.shape[-1]
     if gamma.shape != (channels,) or beta.shape != (channels,):
@@ -162,16 +154,16 @@ def batchnorm_forward(
         axes = tuple(range(x.ndim - 1))
         mean = x.mean(axis=axes)
         var = x.var(axis=axes)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv_std
-        new_stats = RunningStats(
-            momentum * stats.mean + (1.0 - momentum) * mean,
-            momentum * stats.var + (1.0 - momentum) * var,
+        new_stats = (
+            BN_MOMENTUM * run_mean + (1.0 - BN_MOMENTUM) * mean,
+            BN_MOMENTUM * run_var + (1.0 - BN_MOMENTUM) * var,
         )
         return gamma * xhat + beta, new_stats, (xhat, inv_std)
     if mode == "infer":
-        xhat = (x - stats.mean) / np.sqrt(stats.var + eps)
-        return gamma * xhat + beta, stats, None
+        xhat = (x - run_mean) / np.sqrt(run_var + BN_EPS)
+        return gamma * xhat + beta, (run_mean, run_var), None
     raise ValueError(f"unknown mode {mode!r}, expected 'train' or 'infer'")
 
 

@@ -152,6 +152,13 @@ class TestReport:
         assert "aedl-bt/bt on wcrn: 0.750" in out
         assert "/rs" not in out
 
+    def test_group_with_mismatched_grids_is_named(self, tmp_path, capsys):
+        header = "strategy,network,seed,round,labeled_count,oa"
+        rows = ["bt,wcrn,0,0,10,0.5", "bt,wcrn,0,1,20,0.7", "bt,wcrn,1,0,10,0.5", "bt,wcrn,1,1,30,0.8"]
+        (tmp_path / "aggregate.csv").write_text("\n".join([header, *rows]) + "\n")
+        assert main(["report", "--in", str(tmp_path)]) == 0
+        assert "skipped bt on wcrn" in capsys.readouterr().out
+
     def test_report_on_empty_directory_fails(self, tmp_path):
         with pytest.raises(SystemExit, match="no aggregate"):
             main(["report", "--in", str(tmp_path)])
@@ -190,6 +197,12 @@ class TestConfigFiles:
         text = path.read_text().replace("seed = 11", "seed = eleven")
         path.write_text(text)
         with pytest.raises(ConfigError, match="seed"):
+            experiment_config_from_file(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+    def test_bad_learning_rate_rejected(self, tmp_path, value):
+        path = write_run_config(tmp_path, extra=f"learning_rate = {value}\n")
+        with pytest.raises(ConfigError, match="learning_rate"):
             experiment_config_from_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):

@@ -75,6 +75,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="batch_per_round"):
             tiny_config(batch_per_round=0).validate()
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1e-3, 0.0])
+    def test_learning_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            tiny_config(learning_rate=rate).validate()
+
     def test_rejection_happens_before_training(self):
         with pytest.raises(ConfigError):
             run_single(tiny_config(initial_epochs=-1), seed=0)

@@ -18,7 +18,6 @@ from aedl.networks import (
     init_params,
     trainable_names,
 )
-from aedl.ops import RunningStats
 
 from gradcheck import assert_grad_close, numerical_grad, spaced_values
 
@@ -88,14 +87,14 @@ class TestBatchNormGradients:
             x = rng.standard_normal((n, h, w, c)) * 2.0 + 0.5
             gamma = rng.standard_normal(c) + 1.5
             beta = rng.standard_normal(c)
-            stats = RunningStats.initial(int(c))
+            run_mean, run_var = np.zeros(c), np.ones(c)
             proj = rng.standard_normal(x.shape)
 
             def loss(x=x, gamma=gamma, beta=beta):
-                out, _, _ = ops.batchnorm_forward(x, gamma, beta, stats, "train")
+                out, _, _ = ops.batchnorm_forward(x, gamma, beta, run_mean, run_var, "train")
                 return float((out * proj).sum())
 
-            _, _, cache = ops.batchnorm_forward(x, gamma, beta, stats, "train")
+            _, _, cache = ops.batchnorm_forward(x, gamma, beta, run_mean, run_var, "train")
             grads = ops.batchnorm_backward(gamma, cache, proj)
             assert_grad_close(
                 grads.input_grad, numerical_grad(lambda v: loss(x=v), x), f"bn input #{i}"
@@ -255,16 +254,12 @@ def _toy_graph():
 
 def _train_loss(graph, params, x, labels, seed):
     """Train-mode mean cross entropy; the dropout rng is reseeded every call."""
-    probs, _, _ = networks._forward(
-        graph, params, x, "train", np.random.default_rng(seed), keep_cache=False
-    )
-    return float(np.mean(ops.cross_entropy(probs, labels)))
+    acts, _, _ = networks._forward(graph, params, x, "train", np.random.default_rng(seed))
+    return float(np.mean(ops.cross_entropy(acts[graph.layers[-1].name], labels)))
 
 
 def _analytic_grads(graph, params, x, labels, seed):
-    acts, caches, _ = networks._forward(
-        graph, params, x, "train", np.random.default_rng(seed), keep_cache=True
-    )
+    acts, caches, _ = networks._forward(graph, params, x, "train", np.random.default_rng(seed))
     return networks._backward(graph, params, acts, caches, labels)
 
 

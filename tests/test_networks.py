@@ -181,9 +181,7 @@ class TestForward:
         graph = build_dccnn(6, 11)
         params = init_params(graph, rng)
         batch = rng.standard_normal((79, 5, 5, 6))
-        _, caches, _ = networks._forward(
-            graph, params, batch, "train", np.random.default_rng(6), keep_cache=True
-        )
+        _, caches, _ = networks._forward(graph, params, batch, "train", np.random.default_rng(6))
         mask = caches["drop11"]
         dropped = int((~mask).sum())
         # Binomial(79*128, 0.5): 3 sigma is ~151.
@@ -255,11 +253,25 @@ class TestTrainStep:
             x = rng.standard_normal((8, 5, 5, 2))
             y = rng.integers(0, 2, size=8)
             new_params, _, loss_before = train_step(graph, params, x, y, state)
-            acts, _, _ = networks._forward(graph, new_params, x, "train", None, keep_cache=True)
+            acts, _, _ = networks._forward(graph, new_params, x, "train", None)
             probs = acts[graph.layers[-1].name]
             loss_after = float(np.mean(-np.log(probs[np.arange(8), y])))
             descents += loss_after <= loss_before
         assert descents >= 95, f"descended in only {descents}/{trials} trials"
+
+    def test_batch_of_wrong_patch_shape_rejected(self):
+        graph = build_hresnet(6, 3)
+        params = init_params(graph, np.random.default_rng(0))
+        state = init_adam({n: params.entries[n] for n in trainable_names(graph)})
+        with pytest.raises(ShapeError, match="does not match input"):
+            train_step(graph, params, np.zeros((4, 9, 9, 6)), np.zeros(4), state)
+
+    def test_label_count_must_match_batch(self):
+        graph = build_wcrn(2, 2)
+        params = init_params(graph, np.random.default_rng(0))
+        state = init_adam({n: params.entries[n] for n in trainable_names(graph)})
+        with pytest.raises(ValueError, match=r"labels of shape \(3,\).*batch of 4"):
+            train_step(graph, params, np.zeros((4, 5, 5, 2)), np.zeros(3), state)
 
     def test_out_of_range_labels_rejected(self):
         graph = build_wcrn(2, 2)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aedl import ops
-from aedl.ops import RunningStats, ShapeError
+from aedl.ops import ShapeError
 
 
 def conv_reference(x, w, b, padding="valid"):
@@ -154,70 +154,64 @@ class TestConv2dBackward:
             )
 
 
+def _initial_stats(channels):
+    return np.zeros(channels), np.ones(channels)
+
+
 class TestBatchNorm:
     def test_identity_on_standardized_input(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((64, 3, 3, 4))
         x -= x.mean(axis=(0, 1, 2))
         x /= x.std(axis=(0, 1, 2))
-        out, _, _ = ops.batchnorm_forward(
-            x, np.ones(4), np.zeros(4), RunningStats.initial(4), "train", eps=1e-9
-        )
-        np.testing.assert_allclose(out, x, atol=1e-6)
+        out, _, _ = ops.batchnorm_forward(x, np.ones(4), np.zeros(4), *_initial_stats(4), "train")
+        np.testing.assert_allclose(out, x / np.sqrt(1 + ops.BN_EPS), atol=1e-6)
 
     def test_zero_gamma_gives_beta(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 2, 2, 3))
         beta = np.array([1.0, -2.0, 0.5])
-        out, _, _ = ops.batchnorm_forward(
-            x, np.zeros(3), beta, RunningStats.initial(3), "train"
-        )
+        out, _, _ = ops.batchnorm_forward(x, np.zeros(3), beta, *_initial_stats(3), "train")
         np.testing.assert_array_equal(out, np.broadcast_to(beta, out.shape))
 
     def test_train_output_statistics(self):
         rng = np.random.default_rng(7)
         x = 3.0 * rng.standard_normal((128, 2, 2, 5)) + 1.5
-        out, _, _ = ops.batchnorm_forward(
-            x, np.ones(5), np.zeros(5), RunningStats.initial(5), "train"
-        )
+        out, _, _ = ops.batchnorm_forward(x, np.ones(5), np.zeros(5), *_initial_stats(5), "train")
         assert np.abs(out.mean(axis=(0, 1, 2))).max() < 1e-6
         var = out.var(axis=(0, 1, 2))
         assert var.min() > 1.0 - 1e-3 and var.max() < 1.0 + 1e-3
 
     def test_single_instance_zero_variance_is_finite(self):
         x = np.full((1, 2, 2, 3), 4.0)
-        out, _, _ = ops.batchnorm_forward(
-            x, np.ones(3), np.zeros(3), RunningStats.initial(3), "train"
-        )
+        out, _, _ = ops.batchnorm_forward(x, np.ones(3), np.zeros(3), *_initial_stats(3), "train")
         assert np.isfinite(out).all()
 
     def test_running_stats_ema(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((32, 2, 2, 2)) + 5.0
-        stats0 = RunningStats.initial(2)
-        _, stats1, _ = ops.batchnorm_forward(
-            x, np.ones(2), np.zeros(2), stats0, "train", momentum=0.9
+        assert ops.BN_MOMENTUM == 0.9
+        _, (mean, var), _ = ops.batchnorm_forward(
+            x, np.ones(2), np.zeros(2), *_initial_stats(2), "train"
         )
-        np.testing.assert_allclose(stats1.mean, 0.1 * x.mean(axis=(0, 1, 2)))
-        np.testing.assert_allclose(
-            stats1.var, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 1, 2))
-        )
+        np.testing.assert_allclose(mean, 0.1 * x.mean(axis=(0, 1, 2)))
+        np.testing.assert_allclose(var, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 1, 2)))
 
     def test_infer_uses_running_stats(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((4, 2, 2, 2))
-        stats = RunningStats(np.array([1.0, -1.0]), np.array([4.0, 0.25]))
+        run_mean, run_var = np.array([1.0, -1.0]), np.array([4.0, 0.25])
         gamma, beta = np.array([2.0, 1.0]), np.array([0.0, 3.0])
-        out, same_stats, cache = ops.batchnorm_forward(x, gamma, beta, stats, "infer")
-        expected = gamma * (x - stats.mean) / np.sqrt(stats.var + 1e-5) + beta
+        out, (mean, var), cache = ops.batchnorm_forward(x, gamma, beta, run_mean, run_var, "infer")
+        expected = gamma * (x - run_mean) / np.sqrt(run_var + 1e-5) + beta
         np.testing.assert_allclose(out, expected)
-        assert same_stats is stats and cache is None
+        assert mean is run_mean and var is run_var and cache is None
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="channel count 4"):
             ops.batchnorm_forward(
                 np.zeros((2, 2, 2, 4)), np.ones(3), np.zeros(3),
-                RunningStats.initial(3), "train",
+                *_initial_stats(3), "train",
             )
 
 
