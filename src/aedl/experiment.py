@@ -38,7 +38,9 @@ from .selection import (
     select,
 )
 
-PREDICT_CHUNK = 512
+# Rows per committee-inference chunk. Each layer's activation for one chunk stays
+# small enough to be cache-resident; the bits do not depend on it.
+PREDICT_CHUNK = 64
 
 
 class ConfigError(ValueError):
