@@ -83,12 +83,15 @@ def conv2d_forward(
     xp = _pad_input(x, p_ext, q_ext, padding)
     h_out = xp.shape[1] - p_ext + 1
     w_out = xp.shape[2] - q_ext + 1
-    out = np.empty((x.shape[0], h_out, w_out, k_out))
-    out[:] = bias
     # Small kernels: a shifted matmul per tap beats im2col on these patch sizes.
+    # The first tap's product is the output buffer; IEEE addition commutes, so
+    # adding the bias to it gives the same bits as adding it to the bias.
+    out = np.matmul(xp[:, :h_out, :w_out, :], weights[0, 0])
+    out += bias
     for p in range(p_ext):
         for q in range(q_ext):
-            out += xp[:, p : p + h_out, q : q + w_out, :] @ weights[p, q]
+            if p or q:
+                out += xp[:, p : p + h_out, q : q + w_out, :] @ weights[p, q]
     return out
 
 
@@ -162,8 +165,12 @@ def batchnorm_forward(
         )
         return gamma * xhat + beta, new_stats, (xhat, inv_std)
     if mode == "infer":
-        xhat = (x - run_mean) / np.sqrt(run_var + BN_EPS)
-        return gamma * xhat + beta, (run_mean, run_var), None
+        # The same arithmetic as gamma * ((x - run_mean) / std) + beta, in one fresh array.
+        out = x - run_mean
+        out /= np.sqrt(run_var + BN_EPS)
+        out *= gamma
+        out += beta
+        return out, (run_mean, run_var), None
     raise ValueError(f"unknown mode {mode!r}, expected 'train' or 'infer'")
 
 
