@@ -49,7 +49,9 @@ class NetworkGraph:
     Construction runs each layer once on one all-zero row, through the ops the
     forward pass uses, and stores every layer's output shape (batch axis
     omitted) and every parameter entry's shape. The ops' own checks are the
-    shape rules.
+    shape rules. It also records which layers need an input gradient: those fed
+    by an activation with a parameterized layer at or above it. The others,
+    such as convs fed by the patches alone, skip it in the backward pass.
     """
 
     name: str
@@ -58,6 +60,7 @@ class NetworkGraph:
     class_count: int
     output_shapes: MappingProxyType = field(init=False, repr=False, compare=False)
     param_shapes: MappingProxyType = field(init=False, repr=False, compare=False)
+    input_grad_layers: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.layers[-1].kind != "softmax":
@@ -67,12 +70,15 @@ class NetworkGraph:
             raise ValueError("softmax must be fed by a dense layer of class_count width")
         acts: dict[str, np.ndarray] = {"input": np.zeros((1, *self.input_shape))}
         params: dict[str, tuple[int, ...]] = {}
+        graded: set[str] = set()  # activations whose gradient some parameter needs
         for layer in self.layers:
             if layer.name in acts:
                 raise ValueError(f"duplicate layer name {layer.name!r}")
             for src in layer.inputs:
                 if src not in acts:
                     raise ValueError(f"layer {layer.name!r} consumes unknown input {src!r}")
+            if layer.kind in PARAM_PARTS or graded.intersection(layer.inputs):
+                graded.add(layer.name)
             # Weights are (*kernel, c_in, c_out); bias and BN vectors have one entry per
             # output channel, and BN keeps its input width.
             c_in = acts[layer.inputs[0]].shape[-1]
@@ -89,6 +95,8 @@ class NetworkGraph:
         shapes = {name: act.shape[1:] for name, act in acts.items()}
         object.__setattr__(self, "output_shapes", MappingProxyType(shapes))
         object.__setattr__(self, "param_shapes", MappingProxyType(params))
+        needed = frozenset(layer.name for layer in self.layers if graded.intersection(layer.inputs))
+        object.__setattr__(self, "input_grad_layers", needed)
 
 
 @dataclass
@@ -304,11 +312,16 @@ def _layer_forward(layer, acts, p, mode, rng, caches, stats_updates):
     acts[name] = out
 
 
-def _layer_backward(layer, acts, p, cache, g):
-    """Back-propagate g through one layer: (parameter grads, one grad per layer.inputs)."""
+def _layer_backward(layer, acts, p, cache, g, input_grad):
+    """Back-propagate g through one layer: (parameter grads, one grad per layer.inputs).
+
+    A conv with input_grad False returns its parameter grads and no input grads.
+    """
     kind = layer.kind
     x = acts[layer.inputs[0]]
     if kind == "conv":
+        if not input_grad:
+            return ops.conv2d_param_grads(x, p["weights"], g, layer.padding), ()
         grad = ops.conv2d_backward(x, p["weights"], g, layer.padding)
     elif kind == "bn":
         grad = ops.batchnorm_backward(p["gamma"], cache, g)
@@ -352,12 +365,13 @@ def _backward(graph, params, acts, caches, labels):
         if g is None:
             continue  # not on the loss path
         p = _layer_params(params, layer)
-        grads, input_grads = _layer_backward(layer, acts, p, caches.get(layer.name), g)
+        grads, input_grads = _layer_backward(layer, acts, p, caches.get(layer.name), g,
+                                             layer.name in graph.input_grad_layers)
         param_grads.update({f"{layer.name}.{part}": value for part, value in grads.items()})
         # An activation feeding several layers gets the sum of their gradients.
         for src, part in zip(layer.inputs, input_grads):
             grad_acts[src] = grad_acts[src] + part if src in grad_acts else part
-    return param_grads, grad_acts.get("input")
+    return param_grads
 
 
 def _checked_batch(graph: NetworkGraph, params: ParameterSet, batch) -> np.ndarray:
@@ -393,7 +407,7 @@ def train_step(
         raise ValueError(f"labels must lie in [0, {graph.class_count})")
     acts, caches, stats_updates = _forward(graph, params, batch, "train", rng)
     loss = float(np.mean(ops.cross_entropy(acts[graph.layers[-1].name], labels)))
-    param_grads, _ = _backward(graph, params, acts, caches, labels)
+    param_grads = _backward(graph, params, acts, caches, labels)
     trainable = {n: params.entries[n] for n in trainable_names(graph)}
     updated, new_state = adam_step(trainable, param_grads, adam_state)
     entries = {**params.entries, **updated, **stats_updates}

@@ -95,17 +95,20 @@ def conv2d_forward(
     return out
 
 
-def conv2d_backward(
+def conv2d_param_grads(
     x: np.ndarray,
     weights: np.ndarray,
     output_grad: np.ndarray,
     padding: str = "valid",
-) -> LayerGradients:
-    """Chain-rule gradients of conv2d_forward for weights, bias, and input."""
+) -> dict[str, np.ndarray]:
+    """Chain-rule gradients of conv2d_forward for weights and bias only.
+
+    For a layer whose input gradient nobody reads, such as one fed by the patches.
+    """
     _check_batch(x)
     _check_conv_shapes(x, weights, None)
     g = output_grad
-    p_ext, q_ext, m_in, k_out = weights.shape
+    p_ext, q_ext, _, k_out = weights.shape
     xp = _pad_input(x, p_ext, q_ext, padding)
     h_out = xp.shape[1] - p_ext + 1
     w_out = xp.shape[2] - q_ext + 1
@@ -115,17 +118,32 @@ def conv2d_backward(
             f"{(x.shape[0], h_out, w_out, k_out)}"
         )
     grad_w = np.empty_like(weights)
-    grad_x_pad = np.zeros_like(xp)
     for p in range(p_ext):
         for q in range(q_ext):
             window = xp[:, p : p + h_out, q : q + w_out, :]
             grad_w[p, q] = np.tensordot(window, g, axes=([0, 1, 2], [0, 1, 2]))
+    return {"weights": grad_w, "bias": g.sum(axis=(0, 1, 2))}
+
+
+def conv2d_backward(
+    x: np.ndarray,
+    weights: np.ndarray,
+    output_grad: np.ndarray,
+    padding: str = "valid",
+) -> LayerGradients:
+    """Chain-rule gradients of conv2d_forward for weights, bias, and input."""
+    grads = conv2d_param_grads(x, weights, output_grad, padding)
+    g = output_grad
+    p_ext, q_ext = weights.shape[:2]
+    h_out, w_out = g.shape[1:3]
+    ph = _pad_amounts(p_ext, x.shape[1], padding)
+    pw = _pad_amounts(q_ext, x.shape[2], padding)
+    grad_x_pad = np.zeros((x.shape[0], x.shape[1] + sum(ph), x.shape[2] + sum(pw), x.shape[3]))
+    for p in range(p_ext):
+        for q in range(q_ext):
             grad_x_pad[:, p : p + h_out, q : q + w_out, :] += g @ weights[p, q].T
-    grad_b = g.sum(axis=(0, 1, 2))
-    ph, _ = _pad_amounts(p_ext, x.shape[1], padding)
-    pw, _ = _pad_amounts(q_ext, x.shape[2], padding)
-    grad_x = grad_x_pad[:, ph : ph + x.shape[1], pw : pw + x.shape[2], :]
-    return LayerGradients({"weights": grad_w, "bias": grad_b}, grad_x)
+    grad_x = grad_x_pad[:, ph[0] : ph[0] + x.shape[1], pw[0] : pw[0] + x.shape[2], :]
+    return LayerGradients(grads, grad_x)
 
 
 # Batch norm's running-stat momentum, and the variance offset that keeps a

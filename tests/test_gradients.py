@@ -68,6 +68,10 @@ class TestConvGradients:
                 numerical_grad(lambda v: loss(bias=v), bias),
                 f"conv bias #{i} {padding}",
             )
+            alone = ops.conv2d_param_grads(x, weights, proj, padding)
+            assert sorted(alone) == ["bias", "weights"]
+            for part, value in alone.items():
+                np.testing.assert_array_equal(value, grads.parameter_grads[part])
 
     def test_spec_example_shape(self):
         # 5x5x2 input with a 3x3x2x4 bank, the documented reference case.
@@ -277,16 +281,17 @@ class TestWholeGraphGradients:
         params = init_params(graph, rng)
         x = rng.standard_normal((6, 4, 4, 2))
         labels = rng.integers(0, 3, size=6)
-        param_grads, input_grad = _analytic_grads(graph, params, x, labels, seed=7)
+        param_grads = _analytic_grads(graph, params, x, labels, seed=7)
+        # The walk returns the parameter gradients alone: c1 and c2 are fed by the
+        # patches, so no layer computes the input gradient.
         assert sorted(param_grads) == sorted(trainable_names(graph))
+        assert graph.input_grad_layers.isdisjoint({"c1", "c2"})
         for name in trainable_names(graph):
             numeric = numerical_grad(
                 lambda v: _train_loss(graph, _with_entry(params, name, v), x, labels, 7),
                 params.entries[name].copy(),
             )
             assert_grad_close(param_grads[name], numeric, f"toy {name}")
-        numeric = numerical_grad(lambda v: _train_loss(graph, params, v, labels, 7), x.copy())
-        assert_grad_close(input_grad, numeric, "toy input")
 
     @pytest.mark.parametrize("build,size", [(build_wcrn, 5), (build_dccnn, 5), (build_hresnet, 7)])
     def test_builders_at_sampled_entries(self, build, size):
@@ -295,7 +300,7 @@ class TestWholeGraphGradients:
         params = init_params(graph, rng)
         x = rng.standard_normal((6, size, size, 2))
         labels = rng.integers(0, 3, size=6)
-        param_grads, _ = _analytic_grads(graph, params, x, labels, seed=8)
+        param_grads = _analytic_grads(graph, params, x, labels, seed=8)
         for name in trainable_names(graph):
             shape = params.entries[name].shape
             flat = params.entries[name].reshape(-1)

@@ -113,6 +113,26 @@ class TestGraphConstructionErrors:
             NetworkGraph("toy", layers, (5, 5, 2), 3)
 
 
+@pytest.mark.parametrize("build,fed_by_patches", [
+    (build_wcrn, {"conv1a", "conv1b"}),
+    (build_dccnn, {"conv1a", "conv1b", "conv1c"}),
+    (build_hresnet, {"conv1"}),
+])
+def test_only_layers_fed_by_the_patches_skip_the_input_gradient(build, fed_by_patches):
+    graph = build(6, 3)
+    assert {layer.name for layer in graph.layers} - graph.input_grad_layers == fed_by_patches
+
+
+def test_layers_below_parameter_free_layers_skip_the_input_gradient():
+    graph = _graph(
+        LayerSpec("r", "relu", ("input",), "1"),
+        LayerSpec("c", "conv", ("r",), "2", out_channels=2, kernel=(1, 1)),
+        LayerSpec("d", "conv", ("c",), "3", out_channels=2, kernel=(1, 1)),
+    )
+    assert {"r", "c"}.isdisjoint(graph.input_grad_layers)
+    assert {"d", "flat", "fc", "prob"} <= graph.input_grad_layers
+
+
 class TestParameterCounts:
     def test_wcrn_hand_tally(self):
         assert parameter_count(build_wcrn(6, 11)) == wcrn_param_tally(6, 11) == 38923
