@@ -380,6 +380,8 @@ def _checked_batch(graph: NetworkGraph, params: ParameterSet, batch) -> np.ndarr
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 4 or batch.shape[1:] != graph.input_shape:
         raise ShapeError(f"batch shape {batch.shape} does not match input {('N', *graph.input_shape)}")
+    if len(batch) == 0:
+        raise ShapeError(f"empty batch of shape {batch.shape}: N must be at least 1")
     return batch
 
 
@@ -398,7 +400,10 @@ def train_step(
     adam_state: AdamState,
     rng: np.random.Generator | None = None,
 ) -> tuple[ParameterSet, AdamState, float]:
-    """One forward/backward/Adam update over a batch; returns mean cross entropy."""
+    """One forward/backward/Adam update over a batch; returns mean cross entropy.
+
+    Raises FloatingPointError, before any update, when the loss is not finite.
+    """
     batch = _checked_batch(graph, params, batch)
     labels = np.asarray(labels, dtype=np.intp)
     if labels.shape != (len(batch),):
@@ -407,6 +412,8 @@ def train_step(
         raise ValueError(f"labels must lie in [0, {graph.class_count})")
     acts, caches, stats_updates = _forward(graph, params, batch, "train", rng)
     loss = float(np.mean(ops.cross_entropy(acts[graph.layers[-1].name], labels)))
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"training loss is {loss} on a batch of {len(batch)}")
     param_grads = _backward(graph, params, acts, caches, labels)
     trainable = {n: params.entries[n] for n in trainable_names(graph)}
     updated, new_state = adam_step(trainable, param_grads, adam_state)

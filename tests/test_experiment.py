@@ -7,6 +7,7 @@ import pytest
 
 from aedl.data import SyntheticSpec
 from aedl.experiment import (
+    PREDICT_CHUNK,
     ConfigError,
     CurvePoints,
     ExperimentConfig,
@@ -18,12 +19,13 @@ from aedl.experiment import (
     load_aggregate_csv,
     overall_accuracy,
     per_class_accuracy,
+    predict_probabilities,
     run_monte_carlo,
     run_single,
     samples_to_target,
     sensitivity_sweep,
 )
-from aedl.networks import build_wcrn, init_params, trainable_names
+from aedl.networks import build_dccnn, build_hresnet, build_wcrn, init_params, trainable_names
 from aedl.optim import init_adam
 
 
@@ -159,6 +161,52 @@ class TestSnapshotScheduling:
         assert [s.epoch_tag for s in snapshots] == list(range(2, 31, 2))
         committee = snapshots[-9:]
         assert [s.epoch_tag for s in committee] == list(range(14, 31, 2))
+
+
+class TestTrainPhase:
+    def test_non_finite_loss_names_the_epoch(self):
+        graph = build_wcrn(2, 2)
+        rng = np.random.default_rng(0)
+        params = init_params(graph, rng)
+        adam = init_adam({n: params.entries[n] for n in trainable_names(graph)})
+        x = np.full((2, 5, 5, 2), np.nan)
+        with pytest.raises(FloatingPointError, match=r"^epoch 1: training loss is nan"):
+            _train_phase(graph, params, adam, x, np.array([0, 1]), epochs=3, batch_size=32, rng=rng)
+
+
+class TestPredictProbabilities:
+    @pytest.mark.parametrize("build,size", [(build_wcrn, 5), (build_dccnn, 5), (build_hresnet, 7)])
+    def test_chunk_size_keeps_the_bits(self, build, size):
+        """Chunks of PREDICT_CHUNK rows give the bits of one whole-pool pass.
+
+        The dense head is one BLAS matmul per chunk, and the BLAS sums a row in
+        another order when it lies in a partial block of rows (4 rows for
+        OpenBLAS on Haswell). Chunks that are multiples of the block, as
+        PREDICT_CHUNK and the earlier 512 are, keep every row in the same kind
+        of block, so the bits stay; chunks of 1 or 7 rows can move a
+        probability in its last place.
+        """
+        graph = build(6, 3)
+        rng = np.random.default_rng(31)
+        members = []
+        for _ in range(3):
+            params = init_params(graph, rng)
+            for name, arr in params.entries.items():
+                if name.endswith((".run_mean", ".beta")):
+                    params.entries[name] = rng.normal(0.0, 0.2, arr.shape)
+                elif name.endswith((".run_var", ".gamma")):
+                    params.entries[name] = rng.uniform(0.5, 1.5, arr.shape)
+            members.append(params)
+        patches = rng.standard_normal((2 * PREDICT_CHUNK + 37, size, size, 6))
+        probs, preds = predict_probabilities(graph, members, patches, chunk=len(patches))
+        for chunk in (PREDICT_CHUNK, 2 * PREDICT_CHUNK):
+            chunked_probs, chunked_preds = predict_probabilities(graph, members, patches, chunk=chunk)
+            assert np.array_equal(chunked_probs, probs), chunk
+            assert np.array_equal(chunked_preds, preds), chunk
+        for chunk in (1, 7, 37):
+            chunked_probs, chunked_preds = predict_probabilities(graph, members, patches, chunk=chunk)
+            np.testing.assert_allclose(chunked_probs, probs, rtol=0, atol=8 * np.finfo(float).eps)
+            assert np.array_equal(chunked_preds, preds), chunk
 
 
 class TestMetrics:

@@ -217,6 +217,12 @@ class TestForward:
         with pytest.raises(ShapeError, match="does not match input"):
             forward_batch(graph, params, np.zeros((2, 7, 7, 6)))
 
+    def test_empty_batch_rejected(self):
+        graph = build_wcrn(2, 2)
+        params = init_params(graph, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="empty batch"):
+            forward_batch(graph, params, np.zeros((0, 5, 5, 2)))
+
     def test_foreign_params_rejected(self):
         graph = build_wcrn(6, 11)
         other = init_params(build_wcrn(9, 11), np.random.default_rng(0))
@@ -293,12 +299,47 @@ class TestTrainStep:
         with pytest.raises(ValueError, match=r"labels of shape \(3,\).*batch of 4"):
             train_step(graph, params, np.zeros((4, 5, 5, 2)), np.zeros(3), state)
 
+    def test_empty_batch_rejected(self):
+        graph = build_wcrn(2, 2)
+        params = init_params(graph, np.random.default_rng(0))
+        state = init_adam({n: params.entries[n] for n in trainable_names(graph)})
+        with pytest.raises(ShapeError, match="empty batch"):
+            train_step(graph, params, np.zeros((0, 5, 5, 2)), np.zeros(0), state)
+
+    def test_non_finite_loss_raises_before_the_update(self):
+        graph = build_wcrn(2, 2)
+        params = init_params(graph, np.random.default_rng(0))
+        state = init_adam({n: params.entries[n] for n in trainable_names(graph)})
+        with pytest.raises(FloatingPointError, match="training loss is nan"):
+            train_step(graph, params, np.full((2, 5, 5, 2), np.nan), np.array([0, 1]), state)
+
     def test_out_of_range_labels_rejected(self):
         graph = build_wcrn(2, 2)
         params = init_params(graph, np.random.default_rng(0))
         state = init_adam({n: params.entries[n] for n in trainable_names(graph)})
         with pytest.raises(ValueError, match="labels"):
             train_step(graph, params, np.zeros((1, 5, 5, 2)), np.array([2]), state)
+
+
+@pytest.mark.parametrize("build,size", [(build_wcrn, 5), (build_dccnn, 5), (build_hresnet, 7)])
+def test_forward_and_train_step_leave_their_inputs_unchanged(build, size):
+    graph = build(3, 3)
+    rng = np.random.default_rng(13)
+    params = init_params(graph, rng)
+    for name, arr in params.entries.items():
+        if name.endswith((".run_mean", ".beta")):
+            params.entries[name] = rng.normal(0.0, 0.2, arr.shape)
+    batch = rng.standard_normal((9, size, size, 3))
+    labels = rng.integers(0, 3, size=9)
+    state = init_adam({n: params.entries[n] for n in trainable_names(graph)})
+    entries = {name: arr.copy() for name, arr in params.entries.items()}
+    patches = batch.copy()
+    forward_batch(graph, params, batch)
+    train_step(graph, params, batch, labels, state, rng)
+    assert batch.tobytes() == patches.tobytes()
+    assert sorted(params.entries) == sorted(entries)
+    for name, arr in entries.items():
+        assert params.entries[name].tobytes() == arr.tobytes(), name
 
 
 class TestSerialization:
