@@ -50,8 +50,9 @@ class NetworkGraph:
     forward pass uses, and stores every layer's output shape (batch axis
     omitted) and every parameter entry's shape. The ops' own checks are the
     shape rules. It also records which layers need an input gradient: those fed
-    by an activation with a parameterized layer at or above it. The others,
-    such as convs fed by the patches alone, skip it in the backward pass.
+    by an activation with a parameterized layer at or above it. Convs outside
+    that set, such as those fed by the patches alone, skip it in the backward
+    pass.
     """
 
     name: str

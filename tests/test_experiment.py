@@ -182,9 +182,9 @@ class TestPredictProbabilities:
         The dense head is one BLAS matmul per chunk, and the BLAS sums a row in
         another order when it lies in a partial block of rows (4 rows for
         OpenBLAS on Haswell). Chunks that are multiples of the block, as
-        PREDICT_CHUNK and the earlier 512 are, keep every row in the same kind
-        of block, so the bits stay; chunks of 1 or 7 rows can move a
-        probability in its last place.
+        PREDICT_CHUNK is, keep every row in the same kind of block, so the
+        bits stay; chunks of 1 or 7 rows can move a probability in its last
+        place.
         """
         graph = build(6, 3)
         rng = np.random.default_rng(31)
