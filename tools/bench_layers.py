@@ -29,6 +29,7 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
 
 import argparse  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -50,17 +51,12 @@ SWEEP_MEMBERS, SWEEP_ROWS, SWEEP_REPEATS = 5, 3000, 3
 
 
 def make_members(graph, rng, count):
-    """Seeded init_params members with non-default BN affine and running stats."""
-    members = []
-    for _ in range(count):
-        params = networks.init_params(graph, rng)
-        for name, arr in params.entries.items():
-            if name.endswith((".run_mean", ".beta")):
-                params.entries[name] = rng.normal(0.0, 0.2, arr.shape)
-            elif name.endswith((".run_var", ".gamma")):
-                params.entries[name] = rng.uniform(0.5, 1.5, arr.shape)
-        members.append(params)
-    return members
+    """The benchmark oracle's members: seeded init_params with non-default BN
+    affine and running stats."""
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", ROOT / "perfbench" / "oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle.make_members(networks, graph, rng, count)
 
 
 def per_layer_seconds(body, walk, repeats):
