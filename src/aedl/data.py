@@ -158,26 +158,41 @@ def _class_means(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     return spec.class_separation * directions
 
 
+def _box3(a: np.ndarray, axis: int) -> np.ndarray:
+    """Mean over 3 neighbours along `axis`, the edges mirrored (d c b a | a b c d).
+
+    A running sum in the order of scipy's `uniform_filter1d(size=3,
+    mode="reflect")`, so the bits match it; a direct `(a + b + c) / 3` does not.
+    """
+    a = np.moveaxis(a, axis, 0)
+    ext = np.concatenate([a[:1], a, a[-1:]])
+    out = np.empty_like(a)
+    total = (ext[0] + ext[1]) + ext[2]
+    out[0] = total / 3
+    for i in range(1, len(a)):
+        total += ext[i + 2] - ext[i - 1]
+        out[i] = total / 3
+    return np.moveaxis(out, 0, axis)
+
+
 def generate_synthetic(spec: SyntheticSpec) -> PatchDataset:
     """Seeded dataset of class-blocked patches; same spec -> bit-identical data."""
-    from scipy import ndimage  # imported here: it dominates `import aedl` time
-
     rng = np.random.default_rng(spec.seed)
     means = _class_means(spec, rng)
     size, c, n_per = spec.patch_size, spec.channels, spec.instances_per_class
-    blocks = []
+    patches = np.empty((spec.class_count * n_per, size, size, c), dtype=np.float32)
     for k in range(spec.class_count):
         white = rng.standard_normal((n_per, size, size, c))
-        field = ndimage.uniform_filter(white, size=(1, 3, 3, 1), mode="reflect")
-        patches = means[k] + spec.covariance_scale * field
+        field = _box3(_box3(white, 1), 2)
+        field *= spec.covariance_scale
+        field += means[k]
         if spec.speckle_intensity > 0:
             s = spec.speckle_intensity
             z = rng.standard_normal((n_per, size, size, 1))
-            patches = patches * np.exp(s * z - 0.5 * s * s)
-        blocks.append(patches)
-    patches = np.concatenate(blocks).astype(np.float32).astype(np.float64)
+            field *= np.exp(s * z - 0.5 * s * s)
+        patches[k * n_per : (k + 1) * n_per] = field
     labels = np.repeat(np.arange(spec.class_count, dtype=np.int64), n_per)
-    return PatchDataset(patches, labels, class_count=spec.class_count)
+    return PatchDataset(patches.astype(np.float64), labels, class_count=spec.class_count)
 
 
 # ---------------------------------------------------------------------------
