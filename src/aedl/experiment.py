@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -42,6 +43,9 @@ from .selection import (
 # and 12.8 MB at 512. Keep it a multiple of the BLAS row block (4 on OpenBLAS
 # Haswell) so that every row gets the bits of a whole-pool pass.
 PREDICT_CHUNK = 64
+
+# The BLAS thread caps, as `aedl.cli` sets them from AEDL_THREADS.
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -362,11 +366,52 @@ def _evaluate_round(config, graph, params, committee_members, dataset, round_ind
 # Monte Carlo and sweeps
 
 
+def _worker_count(seed_count: int) -> int:
+    """Seeds to run at once: as many as the CPUs hold at the BLAS thread cap.
+
+    The cap is the largest of the thread variables AEDL_THREADS sets; without
+    one, BLAS takes every CPU, so the seeds run one at a time.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    caps = [os.environ.get(var, "") for var in _BLAS_THREAD_VARS]
+    blas_threads = max((int(cap) for cap in caps if cap.isdigit()), default=0) or cpus
+    return max(1, min(seed_count, cpus // blas_threads))
+
+
+def _run_seed(job: tuple[ExperimentConfig, int]) -> LearningCurve:
+    """A worker's task. It is submitted instead of `run_single` because a
+    wrapper put in that name's place (a tracer's) is a local function, which
+    does not pickle; this one pickles by name and calls whatever is there."""
+    config, seed = job
+    return run_single(config, seed)
+
+
+def _run_seeds(config: ExperimentConfig, seeds: tuple[int, ...]) -> list[LearningCurve]:
+    """run_single for each seed, in seed order; in forked workers when
+    `_worker_count` allows more than one."""
+    workers = _worker_count(len(seeds))
+    if workers == 1:
+        return [run_single(config, s) for s in seeds]
+    # Imported here: they add to `import aedl` time, and only this path needs them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run_seed, [(config, s) for s in seeds]))
+
+
 def run_monte_carlo(config: ExperimentConfig) -> MonteCarloResult:
-    """Independent seeded runs plus per-round mean/std overall accuracy."""
+    """Independent seeded runs plus per-round mean/std overall accuracy.
+
+    With a BLAS thread cap (e.g. AEDL_THREADS=1) the seeds run in parallel
+    forked workers, as many as the CPUs hold at that cap; the bits are the same.
+    """
     config.validate()
     seeds = config.run_seeds()
-    curves = [run_single(config, s) for s in seeds]
+    curves = _run_seeds(config, seeds)
     counts = curves[0].labeled_counts
     for curve in curves[1:]:
         if not np.array_equal(curve.labeled_counts, counts):
