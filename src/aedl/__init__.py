@@ -69,6 +69,10 @@ _EXPORTS = {
 __version__ = "0.1.0"
 __all__ = sorted(_EXPORTS)
 
+# The BLAS thread caps: `aedl.cli` sets them from AEDL_THREADS, and
+# `run_monte_carlo` sizes its worker pool by them.
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def __getattr__(name):
     module_name = _EXPORTS.get(name)

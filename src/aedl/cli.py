@@ -12,12 +12,14 @@ import os
 import sys
 from pathlib import Path
 
+from . import _BLAS_THREAD_VARS
+
 
 def _apply_thread_override() -> None:
     threads = os.environ.get("AEDL_THREADS")
     if not threads:
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in _BLAS_THREAD_VARS:
         os.environ.setdefault(var, threads)
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _BLAS_THREAD_VARS
 from .data import (
     PatchDataset,
     SyntheticSpec,
@@ -43,9 +44,6 @@ from .selection import (
 # and 12.8 MB at 512. Keep it a multiple of the BLAS row block (4 on OpenBLAS
 # Haswell) so that every row gets the bits of a whole-pool pass.
 PREDICT_CHUNK = 64
-
-# The BLAS thread caps, as `aedl.cli` sets them from AEDL_THREADS.
-_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -399,6 +397,9 @@ def _run_seeds(config: ExperimentConfig, seeds: tuple[int, ...]) -> list[Learnin
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # Forked workers start with aedl loaded and with whatever stands in
+    # run_single's place. The pool runs only under a BLAS thread cap, and
+    # OpenBLAS stops its own threads around a fork.
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(_run_seed, [(config, s) for s in seeds]))
 

@@ -258,17 +258,43 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_config_import_leaves_scipy_unloaded():
-    # Only synthetic generation needs scipy.ndimage; parsing a config may not
-    # pay for loading it.
+TINY_SYNTHETIC_RUN = """
+import sys
+from aedl.data import SyntheticSpec
+from aedl.experiment import ExperimentConfig, run_single
+spec = SyntheticSpec(class_count=2, patch_size=5, channels=2, instances_per_class=20)
+run_single(ExperimentConfig(
+    synthetic=spec, strategy="aedl-bt", per_class_seed=2, batch_per_round=2, round_count=1,
+    candidate_size=10, test_size=10, initial_epochs=1, finetune_epochs=2, committee_size=1,
+), seed=0)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_synthetic_run_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: generating data and running the
+    # pipeline may not load it (it would add ~27 MB to every worker).
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, aedl.config; print('scipy.ndimage' in sys.modules)"],
+        [sys.executable, "-c", TINY_SYNTHETIC_RUN],
         capture_output=True, text=True,
         env=_stripped_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_config_import_leaves_pool_modules_unloaded():
+    # Only a parallel Monte Carlo run needs them; every `import aedl.config`
+    # would pay for loading them.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, aedl.config; "
+         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"],
+        capture_output=True, text=True,
+        env=_stripped_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_thread_override_sets_blas_vars_and_keeps_preset(monkeypatch):

@@ -1,5 +1,7 @@
 """Harness behavior: runs, Monte Carlo, curve analysis, and export."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,9 @@ from aedl.experiment import (
     LearningCurve,
     MonteCarloResult,
     RoundRecord,
+    _run_seeds,
     _train_phase,
+    _worker_count,
     export_results,
     load_aggregate_csv,
     overall_accuracy,
@@ -276,6 +280,59 @@ class TestMonteCarlo:
         oas = np.stack([c.oas for c in result.curves])
         np.testing.assert_allclose(result.mean_oa, oas.mean(axis=0))
         np.testing.assert_allclose(result.std_oa, oas.std(axis=0))
+
+
+def _force_workers(monkeypatch, cpus, blas_cap):
+    """Pretend to run on `cpus` CPUs with every BLAS variable at `blas_cap`
+    (None: unset)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        if blas_cap is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, str(blas_cap))
+
+
+class TestParallelSeeds:
+    def test_worker_count_rule(self, monkeypatch):
+        _force_workers(monkeypatch, 2, None)
+        assert _worker_count(4) == 1  # BLAS takes every CPU: stay serial
+        _force_workers(monkeypatch, 1, 1)
+        assert _worker_count(4) == 1
+        _force_workers(monkeypatch, 2, 1)
+        assert _worker_count(1) == 1
+        assert _worker_count(4) == 2
+        _force_workers(monkeypatch, 8, 2)
+        assert _worker_count(4) == 4
+        monkeypatch.setenv("MKL_NUM_THREADS", "4")  # the largest cap counts
+        assert _worker_count(4) == 2
+
+    def test_workers_return_results_in_seed_order(self, monkeypatch):
+        # A wrapper in run_single's place, as a tracer installs, is a local
+        # function; the forked workers still call it.
+        _force_workers(monkeypatch, 2, 1)
+        monkeypatch.setattr("aedl.experiment.run_single",
+                            lambda config, seed: (seed, os.getpid()))
+        results = _run_seeds(tiny_config(), (5, 3, 9, 1))
+        assert [seed for seed, _ in results] == [5, 3, 9, 1]
+        assert os.getpid() not in {pid for _, pid in results}
+        assert multiprocessing.active_children() == []
+
+    def test_one_and_two_workers_export_the_same_bytes(self, monkeypatch, tmp_path):
+        config = tiny_config(strategy="aedl-bt", monte_carlo_runs=3)
+        for workers in (1, 2):
+            _force_workers(monkeypatch, workers, 1)
+            export_results(run_monte_carlo(config), tmp_path / str(workers))
+        for name in ("aggregate.csv", "agreement.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_parent(self, monkeypatch):
+        _force_workers(monkeypatch, 2, 1)
+        config = tiny_config(network="hresnet", monte_carlo_runs=2)  # 7x7 network, 5x5 patches
+        with pytest.raises(ConfigError, match="hresnet expects 7x7 patches, dataset has 5x5"):
+            run_monte_carlo(config)
+        assert multiprocessing.active_children() == []
 
 
 class TestSensitivitySweep:
