@@ -260,6 +260,7 @@ def test_cli_import_leaves_numpy_unloaded():
 
 TINY_SYNTHETIC_RUN = """
 import sys
+import aedl.config
 from aedl.data import SyntheticSpec
 from aedl.experiment import ExperimentConfig, run_single
 spec = SyntheticSpec(class_count=2, patch_size=5, channels=2, instances_per_class=20)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aedl import _BLAS_THREAD_VARS
 from aedl.data import SyntheticSpec
 from aedl.experiment import (
     PREDICT_CHUNK,
@@ -286,7 +287,7 @@ def _force_workers(monkeypatch, cpus, blas_cap):
     """Pretend to run on `cpus` CPUs with every BLAS variable at `blas_cap`
     (None: unset)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in _BLAS_THREAD_VARS:
         if blas_cap is None:
             monkeypatch.delenv(var, raising=False)
         else:
