@@ -52,7 +52,8 @@ class NetworkGraph:
     shape rules. It also records which layers need an input gradient: those fed
     by an activation with a parameterized layer at or above it. Convs outside
     that set, such as those fed by the patches alone, skip it in the backward
-    pass.
+    pass. And it records the last consumer of each activation, after which an
+    inference pass drops it.
     """
 
     name: str
@@ -62,6 +63,7 @@ class NetworkGraph:
     output_shapes: MappingProxyType = field(init=False, repr=False, compare=False)
     param_shapes: MappingProxyType = field(init=False, repr=False, compare=False)
     input_grad_layers: frozenset = field(init=False, repr=False, compare=False)
+    last_consumer: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.layers[-1].kind != "softmax":
@@ -98,6 +100,8 @@ class NetworkGraph:
         object.__setattr__(self, "param_shapes", MappingProxyType(params))
         needed = frozenset(layer.name for layer in self.layers if graded.intersection(layer.inputs))
         object.__setattr__(self, "input_grad_layers", needed)
+        last = {src: layer.name for layer in self.layers for src in layer.inputs}
+        object.__setattr__(self, "last_consumer", MappingProxyType(last))
 
 
 @dataclass
@@ -387,9 +391,18 @@ def _checked_batch(graph: NetworkGraph, params: ParameterSet, batch) -> np.ndarr
 
 
 def forward_batch(graph: NetworkGraph, params: ParameterSet, batch: np.ndarray) -> np.ndarray:
-    """Run the network in infer mode on (N, H, W, C) patches; returns row-stochastic (N, K)."""
+    """Run the network in infer mode on (N, H, W, C) patches; returns row-stochastic (N, K).
+
+    Unlike the training pass, it keeps an activation only until its last
+    consumer has run.
+    """
     batch = _checked_batch(graph, params, batch)
-    acts, _, _ = _forward(graph, params, batch, "infer", None)
+    acts = {"input": batch}
+    for layer in graph.layers:
+        _layer_forward(layer, acts, _layer_params(params, layer), "infer", None, {}, {})
+        for src in set(layer.inputs):
+            if graph.last_consumer[src] == layer.name:
+                del acts[src]
     return acts[graph.layers[-1].name]
 
 

@@ -133,6 +133,33 @@ def test_layers_below_parameter_free_layers_skip_the_input_gradient():
     assert {"d", "flat", "fc", "prob"} <= graph.input_grad_layers
 
 
+def test_last_consumer_of_each_activation():
+    wcrn = build_wcrn(6, 3).last_consumer
+    assert wcrn["pool2a"] == wcrn["pool2b"] == "cat3"
+    assert wcrn["cat3"] == "add6"  # the residual branch keeps cat3 alive past conv5
+    hresnet = build_hresnet(6, 3).last_consumer
+    assert hresnet["conv1"] == hresnet["conv3"] == "add4"
+    assert hresnet["input"] == "conv1"
+    assert "prob6" not in hresnet  # the output has no consumer
+
+
+def test_forward_batch_drops_activations_after_their_last_consumer(monkeypatch):
+    graph = build_hresnet(2, 3)
+    params = init_params(graph, np.random.default_rng(0))
+    live = {}
+    original = networks._layer_forward
+
+    def spy(layer, acts, *args):
+        live[layer.name] = set(acts)
+        original(layer, acts, *args)
+
+    monkeypatch.setattr(networks, "_layer_forward", spy)
+    forward_batch(graph, params, np.zeros((2, 7, 7, 2)))
+    assert live["conv3"] == {"conv1", "relu3"}
+    assert live["add4"] == {"conv1", "conv3"}
+    assert live["prob6"] == {"fc6"}
+
+
 class TestParameterCounts:
     def test_wcrn_hand_tally(self):
         assert parameter_count(build_wcrn(6, 11)) == wcrn_param_tally(6, 11) == 38923
@@ -169,6 +196,15 @@ class TestForward:
             assert probs.shape == (6, 7)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
             assert probs.min() >= 0.0
+
+    @pytest.mark.parametrize("build,size", [(build_wcrn, 5), (build_dccnn, 5), (build_hresnet, 7)])
+    def test_forward_batch_gives_the_bytes_of_the_full_infer_pass(self, build, size):
+        rng = np.random.default_rng(6)
+        graph = build(4, 3)
+        params = init_params(graph, rng)
+        batch = rng.standard_normal((9, size, size, 4))
+        acts, _, _ = networks._forward(graph, params, batch, "infer", None)
+        assert forward_batch(graph, params, batch).tobytes() == acts[graph.layers[-1].name].tobytes()
 
     def test_batch_rows_are_independent_in_infer(self):
         rng = np.random.default_rng(2)
