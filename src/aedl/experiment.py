@@ -364,11 +364,11 @@ def _evaluate_round(config, graph, params, committee_members, dataset, round_ind
 # Monte Carlo and sweeps
 
 
-def _worker_count(seed_count: int) -> int:
-    """Seeds to run at once: as many as the CPUs hold at the BLAS thread cap.
+def _cpu_slots() -> int:
+    """CPUs // BLAS threads: how many BLAS calls the CPUs hold at once.
 
-    The cap is the largest of the thread variables AEDL_THREADS sets; without
-    one, BLAS takes every CPU, so the seeds run one at a time.
+    The BLAS thread count is the largest of the variables AEDL_THREADS sets;
+    without one, BLAS takes every CPU, so there is one slot.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -376,14 +376,29 @@ def _worker_count(seed_count: int) -> int:
         cpus = os.cpu_count() or 1
     caps = [os.environ.get(var, "") for var in _BLAS_THREAD_VARS]
     blas_threads = max((int(cap) for cap in caps if cap.isdigit()), default=0) or cpus
-    return max(1, min(seed_count, cpus // blas_threads))
+    return max(1, cpus // blas_threads)
 
 
-def _run_seed(job: tuple[ExperimentConfig, int]) -> LearningCurve:
+def _worker_count(seed_count: int) -> int:
+    """Seeds to run at once: one per CPU slot."""
+    return min(seed_count, _cpu_slots())
+
+
+def _threads_per_seed(workers: int) -> int:
+    """Inference threads of each running seed: the slots the seeds leave."""
+    return max(1, _cpu_slots() // workers)
+
+
+# Inference threads of this process; None outside a worker: all the slots.
+_seed_threads: int | None = None
+
+
+def _run_seed(job: tuple[ExperimentConfig, int, int]) -> LearningCurve:
     """A worker's task. It is submitted instead of `run_single` because a
     wrapper put in that name's place (a tracer's) is a local function, which
     does not pickle; this one pickles by name and calls whatever is there."""
-    config, seed = job
+    global _seed_threads
+    config, seed, _seed_threads = job
     return run_single(config, seed)
 
 
@@ -400,15 +415,17 @@ def _run_seeds(config: ExperimentConfig, seeds: tuple[int, ...]) -> list[Learnin
     # Forked workers start with aedl loaded and with whatever stands in
     # run_single's place. The pool runs only under a BLAS thread cap, and
     # OpenBLAS stops its own threads around a fork.
+    threads = _threads_per_seed(workers)
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_run_seed, [(config, s) for s in seeds]))
+        return list(pool.map(_run_seed, [(config, s, threads) for s in seeds]))
 
 
 def run_monte_carlo(config: ExperimentConfig) -> MonteCarloResult:
     """Independent seeded runs plus per-round mean/std overall accuracy.
 
     With a BLAS thread cap (e.g. AEDL_THREADS=1) the seeds run in parallel
-    forked workers, as many as the CPUs hold at that cap; the bits are the same.
+    forked workers, as many as the CPUs hold at that cap, and each seed's
+    committee inference takes the slots the seeds leave; the bits are the same.
     """
     config.validate()
     seeds = config.run_seeds()

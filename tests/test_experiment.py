@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aedl import _BLAS_THREAD_VARS
+from aedl import _BLAS_THREAD_VARS, experiment
 from aedl.data import SyntheticSpec
 from aedl.experiment import (
     PREDICT_CHUNK,
@@ -18,6 +18,7 @@ from aedl.experiment import (
     MonteCarloResult,
     RoundRecord,
     _run_seeds,
+    _threads_per_seed,
     _train_phase,
     _worker_count,
     export_results,
@@ -307,6 +308,23 @@ class TestParallelSeeds:
         assert _worker_count(4) == 4
         monkeypatch.setenv("MKL_NUM_THREADS", "4")  # the largest cap counts
         assert _worker_count(4) == 2
+
+    def test_threads_per_seed_rule(self, monkeypatch):
+        _force_workers(monkeypatch, 2, 1)
+        assert _threads_per_seed(_worker_count(1)) == 2  # one seed takes both slots
+        assert _threads_per_seed(_worker_count(2)) == 1
+        _force_workers(monkeypatch, 2, None)
+        assert _threads_per_seed(_worker_count(1)) == 1  # BLAS takes every CPU
+        _force_workers(monkeypatch, 8, 1)
+        assert _threads_per_seed(_worker_count(3)) == 2  # a slot is left idle
+
+    def test_workers_receive_their_thread_count(self, monkeypatch):
+        _force_workers(monkeypatch, 4, 1)
+        monkeypatch.setattr("aedl.experiment.run_single",
+                            lambda config, seed: experiment._seed_threads)
+        assert _run_seeds(tiny_config(), (1, 2)) == [2, 2]
+        assert experiment._seed_threads is None  # the parent keeps all the slots
+        assert multiprocessing.active_children() == []
 
     def test_workers_return_results_in_seed_order(self, monkeypatch):
         # A wrapper in run_single's place, as a tracer installs, is a local
