@@ -40,9 +40,10 @@ from .selection import (
     select,
 )
 
-# Rows per committee-inference chunk: an hresnet activation is 1.6 MB at 64 rows
-# and 12.8 MB at 512. Keep it a multiple of the BLAS row block (4 on OpenBLAS
-# Haswell) so that every row gets the bits of a whole-pool pass.
+# Rows of committee inference in flight, shared by the inference threads: an
+# hresnet activation is 1.6 MB at 64 rows and 12.8 MB at 512. Keep it, and so
+# each thread's share, a multiple of the BLAS row block (4 on OpenBLAS Haswell)
+# so that every row gets the bits of a whole-pool pass.
 PREDICT_CHUNK = 64
 
 
@@ -202,6 +203,19 @@ def per_class_accuracy(predictions, labels, class_count: int) -> np.ndarray:
 # Prediction helpers
 
 
+def _predict_rows(graph, members, patches, starts, rows, mean_probs, member_preds):
+    """Committee prediction for the blocks of `rows` rows at `starts`, written
+    into their slices of mean_probs and member_preds."""
+    for start in starts:
+        stop = min(start + rows, len(patches))
+        total = None
+        for j, member in enumerate(members):
+            probs = forward_batch(graph, member, patches[start:stop])
+            member_preds[j, start:stop] = probs.argmax(axis=1)
+            total = probs if total is None else total + probs
+        mean_probs[start:stop] = total / len(members)
+
+
 def predict_probabilities(
     graph: NetworkGraph,
     members,
@@ -210,8 +224,11 @@ def predict_probabilities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chunked committee prediction.
 
-    Returns the member-averaged (N, K) probabilities and the (n, N) per-member
-    argmax labels.
+    Returns the member-averaged (N, K) probabilities and the (members, N)
+    per-member argmax labels. With more than one inference thread (see
+    `_threads_per_seed`), t streams share each chunk: stream i takes every
+    t-th block of chunk // t rows, rounded down to a multiple of 4, so no more
+    than `chunk` rows are in flight. The calling thread runs stream 0.
     """
     members = tuple(members)
     if not members:
@@ -219,15 +236,23 @@ def predict_probabilities(
     n = len(patches)
     mean_probs = np.zeros((n, graph.class_count))
     member_preds = np.zeros((len(members), n), dtype=np.int64)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        total = None
-        for j, member in enumerate(members):
-            probs = forward_batch(graph, member, patches[start:stop])
-            member_preds[j, start:stop] = probs.argmax(axis=1)
-            total = probs if total is None else total + probs
-        mean_probs[start:stop] = total / len(members)
-    return mean_probs, member_preds
+    out = (mean_probs, member_preds)
+    streams = min(_seed_threads or _cpu_slots(), chunk // 4)
+    if streams <= 1:
+        _predict_rows(graph, members, patches, range(0, n, chunk), chunk, *out)
+        return out
+    # Imported here, as the process pool is: only this path needs it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    rows = chunk // streams // 4 * 4
+    starts = range(0, n, rows)
+    with ThreadPoolExecutor(streams - 1) as pool:
+        helpers = [pool.submit(_predict_rows, graph, members, patches, starts[i::streams], rows, *out)
+                   for i in range(1, streams)]
+        _predict_rows(graph, members, patches, starts[0::streams], rows, *out)
+        for helper in helpers:
+            helper.result()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +181,20 @@ class TestTrainPhase:
             _train_phase(graph, params, adam, x, np.array([0, 1]), epochs=3, batch_size=32, rng=rng)
 
 
+def _committee(graph, rng, size=3):
+    """Members with non-default batch-norm affine and running stats."""
+    members = []
+    for _ in range(size):
+        params = init_params(graph, rng)
+        for name, arr in params.entries.items():
+            if name.endswith((".run_mean", ".beta")):
+                params.entries[name] = rng.normal(0.0, 0.2, arr.shape)
+            elif name.endswith((".run_var", ".gamma")):
+                params.entries[name] = rng.uniform(0.5, 1.5, arr.shape)
+        members.append(params)
+    return members
+
+
 class TestPredictProbabilities:
     @pytest.mark.parametrize("build,size", [(build_wcrn, 5), (build_dccnn, 5), (build_hresnet, 7)])
     def test_chunk_size_keeps_the_bits(self, build, size):
@@ -194,15 +209,7 @@ class TestPredictProbabilities:
         """
         graph = build(6, 3)
         rng = np.random.default_rng(31)
-        members = []
-        for _ in range(3):
-            params = init_params(graph, rng)
-            for name, arr in params.entries.items():
-                if name.endswith((".run_mean", ".beta")):
-                    params.entries[name] = rng.normal(0.0, 0.2, arr.shape)
-                elif name.endswith((".run_var", ".gamma")):
-                    params.entries[name] = rng.uniform(0.5, 1.5, arr.shape)
-            members.append(params)
+        members = _committee(graph, rng)
         patches = rng.standard_normal((2 * PREDICT_CHUNK + 37, size, size, 6))
         probs, preds = predict_probabilities(graph, members, patches, chunk=len(patches))
         for chunk in (PREDICT_CHUNK, 2 * PREDICT_CHUNK):
@@ -352,6 +359,44 @@ class TestParallelSeeds:
         with pytest.raises(ConfigError, match="hresnet expects 7x7 patches, dataset has 5x5"):
             run_monte_carlo(config)
         assert multiprocessing.active_children() == []
+
+
+class TestInferenceThreads:
+    @pytest.mark.parametrize("build,size", [(build_wcrn, 5), (build_dccnn, 5), (build_hresnet, 7)])
+    def test_slots_keep_the_bytes(self, monkeypatch, build, size):
+        # Three slots split a 64-row chunk into 20-row streams.
+        graph = build(6, 3)
+        rng = np.random.default_rng(32)
+        members = _committee(graph, rng)
+        patches = rng.standard_normal((165, size, size, 6))
+        for chunk in (PREDICT_CHUNK, 24, 165):
+            outputs = []
+            for slots in (1, 2, 3):
+                _force_workers(monkeypatch, slots, 1)
+                threads = threading.active_count()
+                outputs.append(predict_probabilities(graph, members, patches, chunk=chunk))
+                assert threading.active_count() == threads
+            for probs, preds in outputs[1:]:
+                assert probs.tobytes() == outputs[0][0].tobytes(), chunk
+                assert preds.tobytes() == outputs[0][1].tobytes(), chunk
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        _force_workers(monkeypatch, 2, 1)
+        graph = build_wcrn(2, 3)
+        members = _committee(graph, np.random.default_rng(33), size=2)
+        caller = threading.current_thread()
+        original = experiment.forward_batch
+
+        def forward_batch(graph, params, batch):
+            if threading.current_thread() is not caller:
+                raise FloatingPointError("helper stream failed")
+            return original(graph, params, batch)
+
+        monkeypatch.setattr(experiment, "forward_batch", forward_batch)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="helper stream failed"):
+            predict_probabilities(graph, members, np.zeros((100, 5, 5, 2)))
+        assert threading.active_count() == threads
 
 
 class TestSensitivitySweep:
