@@ -68,4 +68,5 @@ def test_chunk_sweep_and_machine_record():
     assert sorted(sweep["chunks"]) == ["1", "3", "7"]
     for entry in sweep["chunks"].values():
         assert entry["median_s"] > 0.0 and entry["peak_alloc_mb"] > 0.0
-    assert {"cpu", "cpu_count", "blas_threads", "numpy", "blas"} <= set(tool.machine())
+    assert {"cpu", "cpu_count", "blas_threads", "inference_threads", "numpy", "blas"} <= set(
+        tool.machine())

@@ -323,7 +323,7 @@ class TestParallelSeeds:
         _force_workers(monkeypatch, 2, None)
         assert _threads_per_seed(_worker_count(1)) == 1  # BLAS takes every CPU
         _force_workers(monkeypatch, 8, 1)
-        assert _threads_per_seed(_worker_count(3)) == 2  # a slot is left idle
+        assert _threads_per_seed(_worker_count(3)) == 2  # 8 // 3: two slots stay idle
 
     def test_workers_receive_their_thread_count(self, monkeypatch):
         _force_workers(monkeypatch, 4, 1)

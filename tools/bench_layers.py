@@ -10,9 +10,11 @@ infer mode at `experiment.PREDICT_CHUNK` rows and at 512 rows, and in train
 mode at 32 rows, and `networks._layer_backward` at 32 rows. It then times
 `experiment.predict_probabilities` for wcrn and hresnet committees of 5 members
 on 3000 rows at each chunk size in CHUNKS, with the peak bytes numpy allocated
-during one call, and checks that every chunk size gives the same bits.
-Everything goes to BENCH_layers_<label>.json with the thread count, CPU, numpy
-and BLAS versions. BLAS runs on one thread, as in perfbench.
+during one call, and checks that every chunk size gives the same bits. A chunk
+is the number of rows in flight, shared by the inference threads (one per CPU
+at one BLAS thread). Everything goes to BENCH_layers_<label>.json with the BLAS
+and inference thread counts, CPU, numpy and BLAS versions. BLAS runs on one
+thread, as in perfbench.
 """
 
 from __future__ import annotations
@@ -143,6 +145,7 @@ def machine():
         "cpu_count": os.cpu_count(),
         "blas_threads": {var: os.environ.get(var) for var in
                          ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+        "inference_threads": experiment._threads_per_seed(1),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
