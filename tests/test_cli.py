@@ -11,8 +11,8 @@ import pytest
 import aedl
 from aedl.cli import _apply_thread_override, main
 from aedl.config import experiment_config_from_file, synthetic_spec_from_file
-from aedl.data import load_dataset
-from aedl.experiment import ConfigError
+from aedl.data import SyntheticSpec, load_dataset
+from aedl.experiment import ConfigError, ExperimentConfig
 
 SYNTH_SPEC = """\
 # three well separated classes
@@ -164,7 +164,69 @@ class TestReport:
             main(["report", "--in", str(tmp_path)])
 
 
+EVERY_EXPERIMENT_FIELD = """\
+network = hresnet
+strategy = rs
+dataset = data/scene.npz
+per_class_seed = 4
+batch_per_round = 3
+round_count = 2
+candidate_size = 500
+test_size = 400
+initial_epochs = 7
+finetune_epochs = 12
+snapshot_interval_epochs = 3
+committee_size = 4
+monte_carlo_runs = 2
+seed = 11
+seeds = 5, 6, 7
+learning_rate = 0.005
+train_batch_size = 16
+output_dir = out/here
+"""
+
+EVERY_SYNTHETIC_FIELD = """\
+class_count = 2
+patch_size = 7
+channels = 3
+instances_per_class = 50
+covariance_scale = 0.5
+speckle_intensity = 0.25
+class_separation = 1.5
+seed = 4
+class_means = 0, 1, 2; 1.5, 0.5, -1
+"""
+
+EVERY_SYNTHETIC_SPEC = SyntheticSpec(
+    class_count=2, patch_size=7, channels=3, instances_per_class=50,
+    covariance_scale=0.5, speckle_intensity=0.25, class_separation=1.5, seed=4,
+    class_means=((0.0, 1.0, 2.0), (1.5, 0.5, -1.0)),
+)
+
+
 class TestConfigFiles:
+    def test_every_field_reads_back(self, tmp_path):
+        experiment = tmp_path / "experiment.cfg"
+        experiment.write_text(EVERY_EXPERIMENT_FIELD)
+        assert experiment_config_from_file(experiment) == ExperimentConfig(
+            network="hresnet", strategy="rs", dataset_path="data/scene.npz",
+            per_class_seed=4, batch_per_round=3, round_count=2, candidate_size=500,
+            test_size=400, initial_epochs=7, finetune_epochs=12,
+            snapshot_interval_epochs=3, committee_size=4, monte_carlo_runs=2, seed=11,
+            seeds=(5, 6, 7), learning_rate=0.005, train_batch_size=16,
+            output_dir="out/here",
+        )
+        prefixed = tmp_path / "synthetic.cfg"
+        prefixed.write_text("".join(
+            f"synthetic.{line}\n" for line in EVERY_SYNTHETIC_FIELD.splitlines()
+        ))
+        assert experiment_config_from_file(prefixed) == ExperimentConfig(
+            synthetic=EVERY_SYNTHETIC_SPEC
+        )
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(EVERY_SYNTHETIC_FIELD)
+        assert synthetic_spec_from_file(spec) == EVERY_SYNTHETIC_SPEC
+
     def test_full_round_trip(self, tmp_path):
         config = experiment_config_from_file(write_run_config(tmp_path, strategy="aedl-me"))
         assert config.strategy == "aedl-me"
