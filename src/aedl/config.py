@@ -1,102 +1,102 @@
 """Key-value config files for the CLI.
 
 The format is flat ``key = value`` lines; ``#`` starts a comment and blank
-lines are ignored. Experiment files mirror ExperimentConfig field names, with
-synthetic dataset fields carried under a ``synthetic.`` prefix. Unknown keys
-are rejected with their line number.
+lines are ignored. The keys are field names of ExperimentConfig and
+SyntheticSpec (see _EXPERIMENT_KEYS). Unknown keys and values of the wrong
+type are rejected with their ``path:line``.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .data import SyntheticSpec
 from .experiment import ConfigError, ExperimentConfig
 
 
-def parse_kv_file(path) -> dict[str, tuple[str, int]]:
-    """-> {key: (raw value, line number)}."""
-    entries: dict[str, tuple[str, int]] = {}
+def parse_kv_file(path) -> dict[str, tuple[str, str]]:
+    """-> {key: (raw value, "path:line")}."""
+    entries: dict[str, tuple[str, str]] = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        where = f"{path}:{lineno}"
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         if key in entries:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        entries[key] = (value.strip(), lineno)
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        entries[key] = (value.strip(), where)
     return entries
 
 
-def _int(raw: str, key: str, lineno: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be an integer, got {raw!r}") from None
+def _scalar(parse, noun: str):
+    def convert(raw: str, key: str, where: str):
+        try:
+            return parse(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: {key} must be {noun}, got {raw!r}") from None
+    return convert
 
 
-def _float(raw: str, key: str, lineno: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be a number, got {raw!r}") from None
+_int = _scalar(int, "an integer")
+_float = _scalar(float, "a number")
+_str = _scalar(str, "text")
 
 
-def _int_list(raw: str, key: str, lineno: int) -> tuple[int, ...]:
-    return tuple(_int(part.strip(), key, lineno) for part in raw.split(",") if part.strip())
+def _int_list(raw: str, key: str, where: str) -> tuple[int, ...]:
+    return tuple(_int(part.strip(), key, where) for part in raw.split(",") if part.strip())
 
 
-def _class_means(raw: str, key: str, lineno: int):
+def _class_means(raw: str, key: str, where: str):
     # Rows separated by ';', channel values by ','.
-    rows = []
-    for row in raw.split(";"):
-        rows.append(tuple(_float(v.strip(), key, lineno) for v in row.split(",")))
-    return tuple(rows)
+    return tuple(
+        tuple(_float(v.strip(), key, where) for v in row.split(",")) for row in raw.split(";")
+    )
 
 
-_SYNTHETIC_FIELDS = {
-    "class_count": _int,
-    "patch_size": _int,
-    "channels": _int,
-    "instances_per_class": _int,
-    "covariance_scale": _float,
-    "speckle_intensity": _float,
-    "class_separation": _float,
-    "seed": _int,
-    "class_means": _class_means,
+# One converter per field annotation. The annotations are postponed, so
+# dataclasses.fields reports them as the strings written in the source.
+_CONVERTERS = {
+    "int": _int,
+    "float": _float,
+    "str": _str,
+    "str | None": _str,
+    "tuple[int, ...] | None": _int_list,
+    "tuple[tuple[float, ...], ...] | None": _class_means,
 }
 
-_EXPERIMENT_FIELDS = {
-    "network": lambda raw, key, lineno: raw,
-    "strategy": lambda raw, key, lineno: raw,
-    "dataset": lambda raw, key, lineno: raw,
-    "per_class_seed": _int,
-    "batch_per_round": _int,
-    "round_count": _int,
-    "candidate_size": _int,
-    "test_size": _int,
-    "initial_epochs": _int,
-    "finetune_epochs": _int,
-    "snapshot_interval_epochs": _int,
-    "committee_size": _int,
-    "monte_carlo_runs": _int,
-    "seed": _int,
-    "seeds": _int_list,
-    "learning_rate": _float,
-    "train_batch_size": _int,
-    "output_dir": lambda raw, key, lineno: raw,
+# Config keys are the dataclass field names, with two exceptions:
+# ExperimentConfig.dataset_path is read from the key "dataset", and
+# ExperimentConfig.synthetic is a prefix on SyntheticSpec's names.
+_SYNTHETIC_PREFIX = "synthetic."
+_SYNTHETIC_KEYS = {f.name: (f.name, _CONVERTERS[f.type]) for f in fields(SyntheticSpec)}
+_EXPERIMENT_KEYS = {
+    {"dataset_path": "dataset"}.get(f.name, f.name): (f.name, _CONVERTERS[f.type])
+    for f in fields(ExperimentConfig)
+    if f.name != "synthetic"
 }
+
+
+def _read_fields(entries: dict, table: dict, kind: str, prefix: str = "") -> dict:
+    """Convert parse_kv_file entries into {field name: value} through a key table."""
+    values = {}
+    for key, (raw, where) in entries.items():
+        name = key.removeprefix(prefix)
+        if name not in table:
+            raise ConfigError(f"{where}: unknown {kind} {name!r}")
+        field, convert = table[name]
+        values[field] = convert(raw, key, where)
+    return values
 
 
 def _build_synthetic(values: dict) -> SyntheticSpec | None:
     if not values:
         return None
-    if "class_count" not in values:
-        raise ConfigError("synthetic dataset needs synthetic.class_count")
     try:
         return SyntheticSpec(**values)
     except (TypeError, ValueError) as exc:
@@ -105,13 +105,7 @@ def _build_synthetic(values: dict) -> SyntheticSpec | None:
 
 def synthetic_spec_from_file(path) -> SyntheticSpec:
     """Read a synthetic dataset recipe (bare field names, no prefix)."""
-    values = {}
-    for key, (raw, lineno) in parse_kv_file(path).items():
-        converter = _SYNTHETIC_FIELDS.get(key)
-        if converter is None:
-            raise ConfigError(f"{path}:{lineno}: unknown synthetic field {key!r}")
-        values[key] = converter(raw, key, lineno)
-    spec = _build_synthetic(values)
+    spec = _build_synthetic(_read_fields(parse_kv_file(path), _SYNTHETIC_KEYS, "synthetic field"))
     if spec is None:
         raise ConfigError(f"{path}: empty synthetic spec")
     return spec
@@ -119,22 +113,14 @@ def synthetic_spec_from_file(path) -> SyntheticSpec:
 
 def experiment_config_from_file(path) -> ExperimentConfig:
     """Read an experiment config; validates field names, types, and invariants."""
-    plain: dict = {}
-    synthetic_values: dict = {}
-    for key, (raw, lineno) in parse_kv_file(path).items():
-        if key.startswith("synthetic."):
-            field = key.removeprefix("synthetic.")
-            converter = _SYNTHETIC_FIELDS.get(field)
-            if converter is None:
-                raise ConfigError(f"{path}:{lineno}: unknown synthetic field {field!r}")
-            synthetic_values[field] = converter(raw, key, lineno)
-        else:
-            converter = _EXPERIMENT_FIELDS.get(key)
-            if converter is None:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            plain[key] = converter(raw, key, lineno)
-    if "dataset" in plain:
-        plain["dataset_path"] = plain.pop("dataset")
-    config = ExperimentConfig(synthetic=_build_synthetic(synthetic_values), **plain)
+    entries = parse_kv_file(path)
+    synthetic = {key: entry for key, entry in entries.items() if key.startswith(_SYNTHETIC_PREFIX)}
+    plain = {key: entry for key, entry in entries.items() if key not in synthetic}
+    config = ExperimentConfig(
+        synthetic=_build_synthetic(
+            _read_fields(synthetic, _SYNTHETIC_KEYS, "synthetic field", _SYNTHETIC_PREFIX)
+        ),
+        **_read_fields(plain, _EXPERIMENT_KEYS, "config key"),
+    )
     config.validate()
     return config

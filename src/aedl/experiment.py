@@ -530,13 +530,6 @@ def samples_to_target(curve_a, curve_b, target_oa: float) -> TargetCrossing:
 # ---------------------------------------------------------------------------
 # Export
 
-AGGREGATE_FIXED_COLUMNS = ["strategy", "network", "seed", "round", "labeled_count", "oa"]
-
-
-def _class_count_of(result: MonteCarloResult) -> int:
-    return len(result.curves[0].records[0].per_class_accuracy)
-
-
 def _row_values(config, seed, record):
     return (
         [config.strategy, config.network, str(seed), str(record.round),
@@ -545,62 +538,55 @@ def _row_values(config, seed, record):
     )
 
 
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def export_results(result: MonteCarloResult, out_dir) -> list[Path]:
     """Write per-run CSVs, a deterministic aggregate CSV, the committee
     agreement table, and a JSON manifest echoing the resolved config."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    k = _class_count_of(result)
-    per_class_cols = [f"per_class_oa_{i}" for i in range(k)]
-    written: list[Path] = []
+    config, runs = result.config, list(zip(result.seeds, result.curves))
+    k = len(result.curves[0].records[0].per_class_accuracy)
+    header = (["strategy", "network", "seed", "round", "labeled_count", "oa"]
+              + [f"per_class_oa_{i}" for i in range(k)])
+    written = [_write_csv(
+        out / "aggregate.csv", header,
+        (_row_values(config, seed, record) for seed, curve in runs for record in curve.records),
+    )]
+    for seed, curve in runs:
+        written.append(_write_csv(
+            out / f"run_seed{seed}.csv", header + ["wall_time_s"],
+            (_row_values(config, seed, record) + [repr(record.wall_time_s)]
+             for record in curve.records),
+        ))
+    agreement_rows = (
+        [config.strategy, config.network, str(seed), str(record.round), str(m), str(int(count))]
+        for seed, curve in runs
+        for record in curve.records
+        if record.agreement is not None
+        for m, count in enumerate(record.agreement.counts[1:], start=1)
+    )
+    written.append(_write_csv(
+        out / "agreement.csv",
+        ["strategy", "network", "seed", "round", "majority_size", "count"],
+        agreement_rows,
+    ))
 
-    aggregate_path = out / "aggregate.csv"
-    with open(aggregate_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_FIXED_COLUMNS + per_class_cols)
-        for seed, curve in zip(result.seeds, result.curves):
-            for record in curve.records:
-                writer.writerow(_row_values(result.config, seed, record))
-    written.append(aggregate_path)
-
-    for seed, curve in zip(result.seeds, result.curves):
-        run_path = out / f"run_seed{seed}.csv"
-        with open(run_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(AGGREGATE_FIXED_COLUMNS + per_class_cols + ["wall_time_s"])
-            for record in curve.records:
-                writer.writerow(
-                    _row_values(result.config, seed, record) + [repr(record.wall_time_s)]
-                )
-        written.append(run_path)
-
-    agreement_path = out / "agreement.csv"
-    with open(agreement_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["strategy", "network", "seed", "round", "majority_size", "count"])
-        for seed, curve in zip(result.seeds, result.curves):
-            for record in curve.records:
-                if record.agreement is None:
-                    continue
-                for m, count in enumerate(record.agreement.counts):
-                    if m >= 1:
-                        writer.writerow(
-                            [result.config.strategy, result.config.network, str(seed),
-                             str(record.round), str(m), str(int(count))]
-                        )
-    written.append(agreement_path)
-
-    manifest_path = out / "manifest.json"
     manifest = {
-        "config": asdict(result.config),
-        "config_hash": result.config.config_hash(),
+        "config": asdict(config),
+        "config_hash": config.config_hash(),
         "seeds": list(result.seeds),
         "class_count": k,
         "files": [p.name for p in written],
     }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
-        fh.write("\n")
+    manifest_path = out / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest, indent=2, default=str) + "\n")
     written.append(manifest_path)
     return written
 

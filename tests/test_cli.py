@@ -255,11 +255,15 @@ class TestConfigFiles:
             experiment_config_from_file(path)
 
     def test_type_error_names_key(self, tmp_path):
-        path = write_run_config(tmp_path)
-        text = path.read_text().replace("seed = 11", "seed = eleven")
-        path.write_text(text)
-        with pytest.raises(ConfigError, match="seed"):
-            experiment_config_from_file(path)
+        cases = [
+            ("seed = 11", "seed = eleven", r"run\.cfg:19: seed must be an integer"),
+            ("synthetic.seed = 3", "synthetic.seed = 3.5", r"run\.cfg:8: synthetic\.seed must"),
+        ]
+        for line, bad, match in cases:
+            path = write_run_config(tmp_path)
+            path.write_text(path.read_text().replace(line, bad))
+            with pytest.raises(ConfigError, match=match):
+                experiment_config_from_file(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
     def test_bad_learning_rate_rejected(self, tmp_path, value):
@@ -272,6 +276,16 @@ class TestConfigFiles:
         path.write_text("just some words\n")
         with pytest.raises(ConfigError, match="key = value"):
             experiment_config_from_file(path)
+
+    def test_missing_class_count_is_named(self, tmp_path):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("channels = 2\n")
+        with pytest.raises(ConfigError, match="class_count"):
+            synthetic_spec_from_file(spec)
+        run = tmp_path / "run.cfg"
+        run.write_text("synthetic.channels = 2\n")
+        with pytest.raises(ConfigError, match="class_count"):
+            experiment_config_from_file(run)
 
     def test_class_means_parsing(self, tmp_path):
         path = tmp_path / "spec.cfg"
