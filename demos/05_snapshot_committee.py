@@ -6,6 +6,8 @@ then compares per-snapshot test accuracy with the committee ensemble and
 shows how often the snapshots actually predict the same label.
 """
 
+import dataclasses
+
 import numpy as np
 
 from aedl import (
@@ -53,9 +55,7 @@ for epoch in range(1, 27):
         batch = order[start : start + 32]
         params, adam, loss = train_step(graph, params, x[batch], y[batch], adam, rng)
     if epoch >= 10 and epoch % 2 == 0:  # capture while still settling
-        snap = params.copy()
-        snap.epoch_tag = epoch
-        snapshots.append(snap)
+        snapshots.append(dataclasses.replace(params, epoch_tag=epoch))
 
 test_x = ds.patches[ds.split.test]
 test_y = ds.labels[ds.split.test]

@@ -281,26 +281,22 @@ class ChannelStats:
     std: np.ndarray
 
 
-def normalize_channels(
-    dataset: PatchDataset, stats: ChannelStats | None = None
-) -> tuple[PatchDataset, ChannelStats]:
+def normalize_channels(dataset: PatchDataset) -> tuple[PatchDataset, ChannelStats]:
     """Zero-mean/unit-variance per channel, fitted on labeled+candidate pools only.
 
     The test pool never contributes to the statistics. A zero-variance channel
-    is centered and its divisor clamped to 1. Pass precomputed stats to reuse
-    them on another dataset.
+    is centered and its divisor clamped to 1.
     """
     if len(dataset) == 0:
         raise ValueError("cannot normalize an empty dataset")
-    if stats is None:
-        if dataset.split is not None:
-            pool = np.concatenate([dataset.split.labeled, dataset.split.candidate])
-            source = dataset.patches[pool]
-        else:
-            source = dataset.patches
-        mean = source.mean(axis=(0, 1, 2))
-        std = source.std(axis=(0, 1, 2))
-        std = np.where(std < 1e-12, 1.0, std)
-        stats = ChannelStats(mean, std)
+    if dataset.split is not None:
+        pool = np.concatenate([dataset.split.labeled, dataset.split.candidate])
+        source = dataset.patches[pool]
+    else:
+        source = dataset.patches
+    mean = source.mean(axis=(0, 1, 2))
+    std = source.std(axis=(0, 1, 2))
+    std = np.where(std < 1e-12, 1.0, std)
+    stats = ChannelStats(mean, std)
     normalized = (dataset.patches - stats.mean) / stats.std
     return replace(dataset, patches=normalized), stats

@@ -279,9 +279,8 @@ def _train_phase(graph, params, adam, patches, labels, epochs, batch_size, rng,
             except FloatingPointError as exc:
                 raise FloatingPointError(f"epoch {epoch}: {exc}") from exc
         if capture_interval is not None and epoch % capture_interval == 0:
-            snapshot = params.copy()
-            snapshot.epoch_tag = epoch
-            snapshots.append(snapshot)
+            # Sharing the arrays is safe: train_step never writes into its inputs.
+            snapshots.append(replace(params, epoch_tag=epoch))
     return params, adam, snapshots
 
 
