@@ -136,9 +136,14 @@ def _cmd_report(args) -> int:
     root = Path(args.in_dir)
     if not root.is_dir():
         raise SystemExit(f"not a directory: {root}")
-    curves = {}
+    curves, owners = {}, {}
     for path in sorted(root.rglob("aggregate.csv")):
-        curves.update(load_aggregate_csv(path))
+        for key, curve in load_aggregate_csv(path).items():
+            # A sweep's exports repeat runs: merging would mix committee sizes.
+            if key in curves:
+                raise SystemExit(f"{owners[key]} and {path} both hold {key[0]} on {key[1]}, "
+                                 f"seed {key[2]}; report each experiment's exports separately")
+            curves[key], owners[key] = curve, path
     if not curves:
         raise SystemExit(f"no aggregate.csv files under {root}")
     means = _mean_curves_by_group(curves)

@@ -159,6 +159,23 @@ class TestReport:
         assert main(["report", "--in", str(tmp_path)]) == 0
         assert "skipped bt on wcrn" in capsys.readouterr().out
 
+    def test_repeated_run_in_two_exports_fails_naming_both(self, tmp_path):
+        # A sweep writes one export per committee size with the same seeds;
+        # merging them would overwrite curves and pool the histograms.
+        for size in (1, 3):
+            out = tmp_path / f"n{size}"
+            out.mkdir()
+            (out / "aggregate.csv").write_text(
+                "strategy,network,seed,round,labeled_count,oa\n"
+                "aedl-bt,wcrn,0,0,10,0.5\naedl-bt,wcrn,0,1,20,0.7\n"
+            )
+            (out / "agreement.csv").write_text(
+                "strategy,network,seed,round,majority_size,count\n"
+                f"aedl-bt,wcrn,0,1,{size},30\n"
+            )
+        with pytest.raises(SystemExit, match=r"n1.aggregate\.csv.*n3.aggregate\.csv"):
+            main(["report", "--in", str(tmp_path)])
+
     def test_report_on_empty_directory_fails(self, tmp_path):
         with pytest.raises(SystemExit, match="no aggregate"):
             main(["report", "--in", str(tmp_path)])
