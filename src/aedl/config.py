@@ -94,32 +94,26 @@ def _read_fields(entries: dict, table: dict, kind: str, prefix: str = "") -> dic
     return values
 
 
-def _build_synthetic(values: dict) -> SyntheticSpec | None:
-    if not values:
-        return None
+def _build_synthetic(values: dict, path) -> SyntheticSpec:
     try:
         return SyntheticSpec(**values)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid synthetic spec: {exc}") from None
+        raise ConfigError(f"{path}: invalid synthetic spec: {exc}") from None
 
 
 def synthetic_spec_from_file(path) -> SyntheticSpec:
     """Read a synthetic dataset recipe (bare field names, no prefix)."""
-    spec = _build_synthetic(_read_fields(parse_kv_file(path), _SYNTHETIC_KEYS, "synthetic field"))
-    if spec is None:
-        raise ConfigError(f"{path}: empty synthetic spec")
-    return spec
+    return _build_synthetic(_read_fields(parse_kv_file(path), _SYNTHETIC_KEYS, "synthetic field"), path)
 
 
 def experiment_config_from_file(path) -> ExperimentConfig:
     """Read an experiment config; validates field names, types, and invariants."""
     entries = parse_kv_file(path)
-    synthetic = {key: entry for key, entry in entries.items() if key.startswith(_SYNTHETIC_PREFIX)}
-    plain = {key: entry for key, entry in entries.items() if key not in synthetic}
+    prefixed = {key: entry for key, entry in entries.items() if key.startswith(_SYNTHETIC_PREFIX)}
+    plain = {key: entry for key, entry in entries.items() if key not in prefixed}
+    synthetic = _read_fields(prefixed, _SYNTHETIC_KEYS, "synthetic field", _SYNTHETIC_PREFIX)
     config = ExperimentConfig(
-        synthetic=_build_synthetic(
-            _read_fields(synthetic, _SYNTHETIC_KEYS, "synthetic field", _SYNTHETIC_PREFIX)
-        ),
+        synthetic=_build_synthetic(synthetic, path) if synthetic else None,
         **_read_fields(plain, _EXPERIMENT_KEYS, "config key"),
     )
     config.validate()

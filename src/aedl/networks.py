@@ -111,6 +111,9 @@ class ParameterSet:
     entries: dict[str, np.ndarray]
     epoch_tag: int = 0
 
+    def copy(self) -> "ParameterSet":
+        return ParameterSet({k: v.copy() for k, v in self.entries.items()}, self.epoch_tag)
+
 
 def trace_shapes(graph: NetworkGraph) -> dict[str, tuple[int, ...]]:
     """Output shape per row tag (the last primitive layer of each row)."""
